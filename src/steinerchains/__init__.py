@@ -52,6 +52,7 @@ from .porism import (
     YiuCoefficients,
     chain_at_phase,
     chain_by_yiu,
+    chains_at_phases,
     chain_residuals,
     concentric_model,
     conjugate_chain,

@@ -19,7 +19,12 @@ from .document import (
     write_sweep_csv,
 )
 from .feasibility import feasibility_check
-from .moments import bending_moment, complex_moment, invariance_sweep, invariant_pairs
+from .moments import InvarianceReport, moment_set
+from .moments import (  # noqa: F401  (bindings bench/tracing.py wraps)
+    bending_moment,
+    complex_moment,
+    invariance_sweep,
+)
 from .porism import (
     Gauge,
     InfeasibleGaugeError,
@@ -130,22 +135,18 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    chain = load_chain(args.chain)
-    n = chain.gauge.n
-    top = args.max_k if args.max_k is not None else n
-    for k in range(1, top + 1):
-        print(f"I{k} = {bending_moment(chain, k)!r}")
+    moments = moment_set(load_chain(args.chain), args.max_k)
+    for k, value in enumerate(moments.bending, start=1):
+        print(f"I{k} = {value!r}")
     if getattr(args, "complex"):
-        for k, m in invariant_pairs(n):
-            val = complex_moment(chain, k, m)
+        for (k, m), val in moments.complex_map.items():
             print(f"J{k},{m} = {val.real!r} (imag {val.imag!r})")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     g = _validated_gauge(args)
-    write_sweep_csv(g, args.samples, args.csv)
-    report = invariance_sweep(g, args.samples)
+    report = InvarianceReport.from_rows(g.n, write_sweep_csv(g, args.samples, args.csv))
     for k in range(1, g.n + 1):
         tag = "invariant" if k < g.n else "not invariant"
         print(f"I{k} deviation = {report.bending_deviation[k]:.3e} ({tag})")

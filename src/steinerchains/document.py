@@ -69,16 +69,23 @@ def load_chain(path: str | Path, validate: bool = True) -> SteinerChain:
     return document_to_chain(json.loads(Path(path).read_text()), validate=validate)
 
 
-def sweep_csv_text(g: Gauge, samples: int) -> str:
-    """Moment sweep as CSV: one row per phase, shortest round-trip decimals."""
-    lines = [",".join(sweep_header(g.n))]
-    for row in sweep_rows(g, samples):
+def _csv_text(n: int, rows: list[list[float]]) -> str:
+    lines = [",".join(sweep_header(n))]
+    for row in rows:
         lines.append(",".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(g: Gauge, samples: int, path: str | Path) -> None:
-    Path(path).write_text(sweep_csv_text(g, samples))
+def sweep_csv_text(g: Gauge, samples: int) -> str:
+    """Moment sweep as CSV: one row per phase, shortest round-trip decimals."""
+    return _csv_text(g.n, sweep_rows(g, samples))
+
+
+def write_sweep_csv(g: Gauge, samples: int, path: str | Path) -> list[list[float]]:
+    """Write the moment sweep as CSV and return the sweep_rows table written."""
+    rows = sweep_rows(g, samples)
+    Path(path).write_text(_csv_text(g.n, rows))
+    return rows
 
 
 def render_svg(chain: SteinerChain) -> bytes:

@@ -11,29 +11,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
-from .porism import TAU, Gauge, SteinerChain, chain_at_phase
+from .porism import TAU, Gauge, SteinerChain, chains_at_phases
+from .porism import chain_at_phase  # noqa: F401  (a binding bench/tracing.py wraps)
+
+
+def _powers(values: tuple, top: int) -> list[list]:
+    """[v^0, v^1, ..., v^top] elementwise, each power the previous one times v."""
+    table = [[1.0] * len(values)]
+    for _ in range(top):
+        table.append(list(map(mul, table[-1], values)))
+    return table
+
+
+def _moments(
+    chain: SteinerChain, top: int, pairs: list[tuple[int, int]]
+) -> tuple[list[float], dict[tuple[int, int], complex]]:
+    """The moment kernel: [I_0, ..., I_K] and {(k, m): J_{k,m}} for pairs,
+    K being the largest of top and the k in pairs.
+
+    One pass reads each circle's bend and center once and builds the powers
+    by repeated multiplication. Every J_{k,0} is I_k itself, so the m = 0
+    column equals the bending moments bit for bit.
+    """
+    bpow = _powers(chain.bends, max([top, *(k for k, _ in pairs)]))
+    zpow = _powers(chain.centers, max((m for _, m in pairs), default=0))
+    bending = [sum(p) for p in bpow]
+    cmap = {
+        (k, m): sum(map(mul, bpow[k], zpow[m])) if m else complex(bending[k])
+        for k, m in pairs
+    }
+    return bending, cmap
 
 
 def bending_moment(chain: SteinerChain, k: int) -> float:
     """Sum of k-th powers of the chain bends."""
     if k < 0:
         raise ValueError("moment order k must be non-negative")
-    return sum(b**k for b in chain.bends)
+    return _moments(chain, k, [])[0][k]
 
 
 def complex_moment(chain: SteinerChain, k: int, m: int) -> complex:
     """Sum of bend^k * center^m over the chain, centers as complex numbers.
 
-    The m = 0 column reproduces bending_moment exactly: the same float
-    powers are accumulated in the same order.
+    The m = 0 column reproduces bending_moment exactly: both come from the
+    same kernel.
     """
     if k < 0 or m < 0:
         raise ValueError("moment orders must be non-negative")
-    total = 0j
-    for c in chain.circles:
-        total += (c.bend**k) * (c.center.as_complex() ** m)
-    return total
+    return _moments(chain, k, [(k, m)])[1][(k, m)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,9 +80,8 @@ def invariant_pairs(n: int) -> list[tuple[int, int]]:
 def moment_set(chain: SteinerChain, max_k: int | None = None) -> MomentSet:
     n = chain.gauge.n
     top = n if max_k is None else max_k
-    bending = tuple(bending_moment(chain, k) for k in range(1, top + 1))
-    cmap = {(k, m): complex_moment(chain, k, m) for k, m in invariant_pairs(n)}
-    return MomentSet(n, bending, cmap)
+    bending, cmap = _moments(chain, top, invariant_pairs(n))
+    return MomentSet(n, tuple(bending[1 : top + 1]), cmap)
 
 
 def closed_form_I(n: int, k: int, g: Gauge) -> float:
@@ -111,19 +137,19 @@ def sweep_header(n: int) -> list[str]:
 
 
 def sweep_rows(g: Gauge, samples: int) -> list[list[float]]:
-    """Per-phase moment table over `samples` uniform phases of one period."""
+    """Per-phase moment table over `samples` uniform phases of one period,
+    with the columns of sweep_header."""
     if samples < 2:
         raise ValueError("a sweep needs at least 2 samples")
     n = g.n
     pairs = invariant_pairs(n)
+    thetas = [(TAU / n) * j / samples for j in range(samples)]
     rows = []
-    for j in range(samples):
-        theta = (TAU / n) * j / samples
-        chain = chain_at_phase(g, theta)
-        row = [theta]
-        row.extend(bending_moment(chain, k) for k in range(1, n + 1))
-        for k, m in pairs:
-            val = complex_moment(chain, k, m)
+    for theta, chain in zip(thetas, chains_at_phases(g, thetas)):
+        bending, cmap = _moments(chain, n, pairs)
+        row = [theta, *bending[1 : n + 1]]
+        for pair in pairs:
+            val = cmap[pair]
             row.append(val.real)
             row.append(val.imag)
         rows.append(row)
@@ -147,6 +173,27 @@ class InvarianceReport:
     max_imag: float
     negative_control: float
 
+    @classmethod
+    def from_rows(cls, n: int, rows: list[list[float]]) -> "InvarianceReport":
+        """Report on a sweep_rows table, reading its columns by name."""
+        index = {name: i for i, name in enumerate(sweep_header(n))}
+
+        def column(name: str) -> list[float]:
+            i = index[name]
+            return [row[i] for row in rows]
+
+        def span(col: list[float]) -> float:
+            return max(col) - min(col)
+
+        bending_dev = {k: span(column(f"I{k}")) for k in range(1, n + 1)}
+        complex_dev = {}
+        max_imag = 0.0
+        for k, m in invariant_pairs(n):
+            im_col = column(f"ImJ{k}_{m}")
+            complex_dev[(k, m)] = max(span(column(f"ReJ{k}_{m}")), span(im_col))
+            max_imag = max(max_imag, max(map(abs, im_col)))
+        return cls(n, len(rows), bending_dev, complex_dev, max_imag, bending_dev[n])
+
     def invariants_ok(self, threshold: float) -> bool:
         real_ok = all(self.bending_deviation[k] <= threshold for k in range(1, self.n))
         cplx_ok = all(v <= threshold for v in self.complex_deviation.values())
@@ -154,19 +201,4 @@ class InvarianceReport:
 
 
 def invariance_sweep(g: Gauge, samples: int) -> InvarianceReport:
-    rows = sweep_rows(g, samples)
-    n = g.n
-    pairs = invariant_pairs(n)
-    bending_dev = {}
-    for k in range(1, n + 1):
-        col = [row[k] for row in rows]
-        bending_dev[k] = max(col) - min(col)
-    complex_dev = {}
-    max_imag = 0.0
-    base = 1 + n
-    for idx, pair in enumerate(pairs):
-        re_col = [row[base + 2 * idx] for row in rows]
-        im_col = [row[base + 2 * idx + 1] for row in rows]
-        complex_dev[pair] = max(max(re_col) - min(re_col), max(im_col) - min(im_col))
-        max_imag = max(max_imag, max(abs(v) for v in im_col))
-    return InvarianceReport(n, samples, bending_dev, complex_dev, max_imag, bending_dev[n])
+    return InvarianceReport.from_rows(g.n, sweep_rows(g, samples))

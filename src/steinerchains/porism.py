@@ -9,6 +9,7 @@ parent at the origin and the outer parent at (+d, 0).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .config import tolerance
@@ -203,8 +204,8 @@ def concentric_model(g: Gauge) -> ConcentricModel:
     return ConcentricModel(pole, center, outer_img.radius, inner_img.radius, False, mismatch)
 
 
-def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
-    """Construct the chain at phase angle theta of the concentric model.
+def chains_at_phases(g: Gauge, thetas: Iterable[float]) -> Iterator[SteinerChain]:
+    """Chains at each phase angle in thetas, all built from one concentric model.
 
     n equal circles are placed on the annulus mid-circle at angles
     theta + 2 pi k / n and carried back by the model inversion. theta = 0
@@ -216,19 +217,24 @@ def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
     step = TAU / n
     ring_radius = (model.rho_out - model.rho_in) / 2.0
     mid_radius = (model.rho_in + model.rho_out) / 2.0
-    circles = []
-    for k in range(n):
-        ang = theta + step * k
-        ring = OrientedCircle(
-            PlanePoint(
-                model.center.x + mid_radius * math.cos(ang),
-                model.center.y + mid_radius * math.sin(ang),
-            ),
-            ring_radius,
-            Orientation.CHAIN_OR_INNER,
-        )
-        circles.append(ring if model.identity else invert_circle(model.pole, ring))
-    return SteinerChain(g, theta % step, tuple(circles))
+    cx, cy, pole = model.center.x, model.center.y, model.pole
+    cos, sin = math.cos, math.sin
+    for theta in thetas:
+        circles = []
+        for k in range(n):
+            ang = theta + step * k
+            ring = OrientedCircle(
+                PlanePoint(cx + mid_radius * cos(ang), cy + mid_radius * sin(ang)),
+                ring_radius,
+                Orientation.CHAIN_OR_INNER,
+            )
+            circles.append(ring if model.identity else invert_circle(pole, ring))
+        yield SteinerChain(g, theta % step, tuple(circles))
+
+
+def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
+    """Construct the chain at phase angle theta of the concentric model."""
+    return next(chains_at_phases(g, (theta,)))
 
 
 @dataclass(frozen=True, slots=True)

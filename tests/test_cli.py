@@ -15,7 +15,7 @@ from steinerchains import (
     sweep_csv_text,
 )
 from steinerchains.cli import main
-from steinerchains.moments import sweep_header
+from steinerchains.moments import InvarianceReport, sweep_header
 
 G3 = Gauge(3, 15.0, 1.0, 4.0)
 G4 = Gauge(4, 6.0, 1.0, 1.0)
@@ -174,6 +174,40 @@ class TestCliCommands:
             assert max(col) - min(col) < 1e-8
         i4 = [row[header.index("I4")] for row in rows]
         assert max(i4) - min(i4) > 1e-5
+
+    def test_sweep_computes_once_for_csv_and_report(self, tmp_path, capsys, monkeypatch):
+        import steinerchains.document as document
+        import steinerchains.moments as moments
+        import steinerchains.porism as porism
+
+        tables, models = [], []
+        real_rows, real_model = moments.sweep_rows, porism.concentric_model
+
+        def counted_rows(g, samples):
+            tables.append(real_rows(g, samples))
+            return tables[-1]
+
+        monkeypatch.setattr(moments, "sweep_rows", counted_rows)
+        monkeypatch.setattr(document, "sweep_rows", counted_rows)
+        monkeypatch.setattr(porism, "concentric_model", lambda g: models.append(g) or real_model(g))
+        csv_path = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
+             "--samples", "24", "--csv", str(csv_path)]
+        )
+        assert code == 0
+        assert len(tables) == 1  # one sweep serves the CSV and the report
+        assert len(models) == 1  # one concentric model serves every phase
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].split(",") == sweep_header(4)
+        # repr round-trips, so the CSV holds the swept floats exactly
+        assert [list(map(float, l.split(","))) for l in lines[1:]] == tables[0]
+        report = InvarianceReport.from_rows(4, tables[0])
+        out = capsys.readouterr().out
+        for k in range(1, 5):
+            assert f"I{k} deviation = {report.bending_deviation[k]:.3e}" in out
+        assert f"= {max(report.complex_deviation.values()):.3e}" in out
+        assert f"max |Im J| = {report.max_imag:.3e}" in out
 
     def test_sweep_flags_violation_under_absurd_tolerance(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,38 @@ class TestComplexMoment:
         # k < m is outside the invariant wedge: no reality constraint
         chain = chain_at_phase(G4, 0.37)
         assert abs(complex_moment(chain, 1, 2).imag) > 1e-3
+
+
+class TestKernelAccuracy:
+    """Every I_k and J_{k,m} of moment_set against a 60-digit evaluation of
+    the same sums over the chain's own float bends and centers, so only the
+    kernel's float arithmetic is judged, relative to sum |b^k z^m|."""
+
+    @pytest.mark.parametrize(
+        "n, R", [(3, 15.0), (4, 6.0), (16, 1.6), (32, 1.3), (64, 1.2)]
+    )
+    def test_matches_60_digit_reference(self, n, R):
+        g = Gauge.from_radii(n, R, 1.0)
+        worst = 0.0
+        for frac in (0.0, 0.37, 0.81):
+            chain = chain_at_phase(g, frac * 2 * math.pi / n)
+            ms = moment_set(chain)
+            assert len(ms.bending) == n and len(ms.complex_map) == n * (n + 1) // 2
+            with mpmath.workdps(60):
+                b = [mpmath.mpf(v) for v in chain.bends]
+                z = [mpmath.mpc(v.real, v.imag) for v in chain.centers]
+                bpow = [[v**k for v in b] for k in range(n + 1)]
+                zpow = [[v**m for v in z] for m in range(n)]
+                for k in range(1, n + 1):
+                    exact = mpmath.fsum(bpow[k])  # bends are positive
+                    worst = max(worst, float(abs(ms.bending[k - 1] - exact) / exact))
+                for (k, m), val in ms.complex_map.items():
+                    exact = mpmath.fsum(u * w for u, w in zip(bpow[k], zpow[m]))
+                    scale = math.fsum(
+                        u**k * abs(w) ** m for u, w in zip(chain.bends, chain.centers)
+                    )
+                    worst = max(worst, float(abs(val - exact)) / scale)
+        assert worst <= 1e-13
 
 
 class TestClosedForms:

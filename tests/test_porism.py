@@ -8,6 +8,7 @@ from steinerchains import (
     InfeasibleGaugeError,
     chain_at_phase,
     chain_by_yiu,
+    chains_at_phases,
     chain_residuals,
     concentric_model,
     conjugate_chain,
@@ -158,6 +159,20 @@ class TestChainAtPhase:
         a = chain_at_phase(g, 0.4)
         b = chain_at_phase(g, 0.4 + step)
         assert circle_sets_close(a, b, 1e-9 * g.R)
+
+    @pytest.mark.parametrize("g", [G3, G4, G6])
+    def test_many_phases_share_one_model(self, g, monkeypatch):
+        import steinerchains.porism as porism
+
+        built = []
+        real = porism.concentric_model
+        monkeypatch.setattr(porism, "concentric_model", lambda g: built.append(g) or real(g))
+        thetas = [0.0, 0.2, 0.9, 1.4, 7.1]
+        chains = list(chains_at_phases(g, thetas))
+        assert built == [g]
+        # one construction path: the same chains, bit for bit, one at a time
+        assert chains == [chain_at_phase(g, theta) for theta in thetas]
+        assert len(built) == 1 + len(thetas)
 
     @settings(max_examples=25, deadline=None)
     @given(any_gauge_strategy(), st.floats(0.01, 1.0))
