@@ -23,7 +23,7 @@ from steinerchains import (
     symmetric_chain,
 )
 
-OUT = Path(__file__).resolve().parent.parent / "out"
+OUT = Path("out")  # relative to the working directory
 
 
 def show_gauge(g: Gauge) -> None:

@@ -19,7 +19,7 @@ from .porism import Gauge, neighbor_bends, poristic_range
 
 Quadruple = tuple[float, float, float, float]
 
-RELATION_TOLERANCE = 1e-6  # scaled by max(1, |I3|); inputs may be decimal-rounded
+RELATION_TOLERANCE = 1e-6  # relative to I3 = sum b^3 > 0; inputs may be decimal-rounded
 
 
 def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
@@ -119,7 +119,7 @@ def feasibility_check(
         reasons.append(vg.failure or "virtual gauge recovery failed")
 
     relation_residual = third_moment_relation_residual(I1, I2, I3)
-    if abs(relation_residual) > RELATION_TOLERANCE * max(1.0, abs(I3)):
+    if abs(relation_residual) > RELATION_TOLERANCE * abs(I3):
         reasons.append(
             f"third-moment relation violated (residual {relation_residual:.6g})"
         )

@@ -11,9 +11,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 from hypothesis import strategies as st
 
-from steinerchains import Gauge
+from steinerchains import (
+    Gauge,
+    Orientation,
+    OrientedCircle,
+    PlanePoint,
+    concentric_model,
+    invert_circle,
+)
 
 # Smallest outer radius (r = 1) admitting a closed chain, by chain length:
 # R must exceed 1 + 2q + 2 sqrt(q + q^2) with q = tan^2(pi/n).
@@ -38,6 +46,66 @@ def gauge_strategy(n: int) -> st.SearchStrategy[Gauge]:
 
 def any_gauge_strategy() -> st.SearchStrategy[Gauge]:
     return st.sampled_from([3, 4, 5, 6]).flatmap(gauge_strategy)
+
+
+def closure_ratio(n: int) -> float:
+    """Smallest R/r admitting a closed n-chain: 1 + 2q + 2 sqrt(q + q^2)."""
+    q = math.tan(math.pi / n) ** 2
+    return 1.0 + 2.0 * q + 2.0 * math.sqrt(q + q * q)
+
+
+def inversion_chain(g: Gauge, theta: float) -> list[OrientedCircle]:
+    """Chain circles at phase theta by inversion: n equal circles on the
+    mid-circle of the concentric model at angles theta + 2 pi k / n, carried
+    back by the model's unit inversion (the identity when d = 0)."""
+    model = concentric_model(g)
+    ring_radius = (model.rho_out - model.rho_in) / 2.0
+    mid_radius = (model.rho_in + model.rho_out) / 2.0
+    circles = []
+    for k in range(g.n):
+        ang = theta + 2.0 * math.pi * k / g.n
+        ring = OrientedCircle(
+            PlanePoint(
+                model.center.x + mid_radius * math.cos(ang),
+                model.center.y + mid_radius * math.sin(ang),
+            ),
+            ring_radius,
+            Orientation.CHAIN_OR_INNER,
+        )
+        circles.append(ring if model.identity else invert_circle(model.pole, ring))
+    return circles
+
+
+def mp_inversion_chain(g: Gauge, theta: float) -> list[tuple]:
+    """(x, y, radius) of the chain circles at phase theta, as mpf.
+
+    The same inversion as inversion_chain, carried out in 60 digits on the
+    given floats (R, r, d) with d > 0: the limiting point inside the inner
+    parent is the pole, both parents map to a concentric pair, and the ring
+    circles at angles theta + 2 pi k / n map back.
+    """
+    with mpmath.workdps(60):
+        R, r, d = mpmath.mpf(g.R), mpmath.mpf(g.r), mpmath.mpf(g.d)
+        x_rad = (d * d - R * R + r * r) / (2 * d)
+        far = x_rad - mpmath.sqrt(x_rad * x_rad - r * r)  # x_rad < 0 for nested parents
+        pole = r * r / far
+
+        def invert(cx, cy, rho):
+            t = 1 / ((cx - pole) ** 2 + cy * cy - rho * rho)
+            return pole + (cx - pole) * t, cy * t, rho * abs(t)
+
+        inner_x, _, inner_rho = invert(mpmath.mpf(0), mpmath.mpf(0), r)
+        outer_x, _, outer_rho = invert(d, mpmath.mpf(0), R)
+        center = (inner_x + outer_x) / 2
+        ring_radius = (inner_rho - outer_rho) / 2
+        mid_radius = (inner_rho + outer_rho) / 2
+        circles = []
+        for k in range(g.n):
+            ang = mpmath.mpf(theta) + 2 * mpmath.pi * k / g.n
+            circles.append(
+                invert(center + mid_radius * mpmath.cos(ang), mid_radius * mpmath.sin(ang), ring_radius)
+            )
+        return circles
 
 
 def mirror_pair_radii(R: float, r: float, d: float) -> tuple[tuple[float, float], tuple[float, float]]:

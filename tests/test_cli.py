@@ -9,7 +9,9 @@ from steinerchains import (
     chain_at_phase,
     chain_to_document,
     document_to_chain,
+    is_valid_chain,
     load_chain,
+    pedoe_distance,
     render_svg,
     save_chain,
     sweep_csv_text,
@@ -20,6 +22,11 @@ from steinerchains.moments import InvarianceReport, sweep_header
 G3 = Gauge(3, 15.0, 1.0, 4.0)
 G4 = Gauge(4, 6.0, 1.0, 1.0)
 G6 = Gauge(6, 3.0, 1.0, 0.0)
+
+# (n, R/r) where building circles by inversion at a limiting point loses the
+# chain: a document that fails revalidation (1e5), a circle larger than R
+# (1e8), a pole on a circle (1e12)
+HIGH_RATIOS = [(3, 1e5), (3, 1e8), (16, 1e8), (64, 1e12)]
 
 
 class TestChainDocuments:
@@ -42,6 +49,15 @@ class TestChainDocuments:
     def test_malformed_document_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             document_to_chain({"gauge": {"n": 4}})
+
+    @pytest.mark.parametrize("n, ratio", HIGH_RATIOS)
+    def test_round_trip_at_high_ratio(self, tmp_path, n, ratio):
+        chain = chain_at_phase(Gauge(n, ratio, 1.0, pedoe_distance(n, ratio, 1.0)), 0.0)
+        assert is_valid_chain(chain)
+        path = tmp_path / "chain.json"
+        save_chain(chain, path)
+        back = load_chain(path)
+        assert (back.gauge, back.phase, back.circles) == (chain.gauge, chain.phase, chain.circles)
 
     def test_circle_count_must_match_order(self):
         doc = chain_to_document(chain_at_phase(G4, 0.3))
@@ -142,6 +158,18 @@ class TestCliCommands:
         assert i1 == pytest.approx(5 / 3, abs=1e-9)
         assert any(l.startswith("J1,1 = ") for l in lines)
 
+    @pytest.mark.parametrize("n, ratio", HIGH_RATIOS)
+    def test_chain_invariants_render_at_high_ratio(self, tmp_path, n, ratio):
+        out = tmp_path / "c.json"
+        d = pedoe_distance(n, ratio, 1.0)
+        code = main(
+            ["chain", "--n", str(n), "--R", repr(ratio), "--r", "1", "--d", repr(d),
+             "--phase", "0", "--out", str(out)]
+        )
+        assert code == 0
+        assert main(["invariants", "--chain", str(out)]) == 0
+        assert main(["render", "--chain", str(out), "--svg", str(tmp_path / "c.svg")]) == 0
+
     def test_chain_rejects_invalid_gauge(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         code = main(
@@ -197,7 +225,7 @@ class TestCliCommands:
         )
         assert code == 0
         assert len(tables) == 1  # one sweep serves the CSV and the report
-        assert len(models) == 1  # one concentric model serves every phase
+        assert models == []  # construction builds no concentric model
         lines = csv_path.read_text().splitlines()
         assert lines[0].split(",") == sweep_header(4)
         # repr round-trips, so the CSV holds the swept floats exactly

@@ -179,6 +179,24 @@ class TestFeasibilityCheck:
         for mode in ("paper", "constructive"):
             assert not feasibility_check(quad, mode=mode).feasible
 
+    @pytest.mark.parametrize("R", [6.5, 12.0, 40.0])
+    def test_paper_verdict_is_scale_invariant(self, R):
+        # scaling every radius by 2^k is exact in binary floating point and
+        # scales I_j by exactly 2^(-jk), so a relative relation tolerance
+        # gives one verdict at every scale
+        g = Gauge.from_radii(4, R, 1.0)
+        for frac in (0.13, 0.61):
+            genuine = chain_at_phase(g, frac * math.pi / 2).radii
+            cases = [(genuine, True)]
+            for shift in (1e-3, -1e-2):
+                cases.append(((genuine[0] * (1.0 + shift),) + genuine[1:], False))
+            for quad, feasible in cases:
+                verdicts = [
+                    feasibility_check(tuple(v * 2.0**k for v in quad), mode="paper").feasible
+                    for k in range(11)
+                ]
+                assert verdicts == [feasible] * 11, (quad, verdicts)
+
     def test_report_names_its_mode(self):
         assert feasibility_check((1.0, 2.0, 3.0, 4.0), mode="paper").mode == "paper"
         assert (

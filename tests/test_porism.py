@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,10 @@ from conftest import (
     GAUGE_DOMAINS,
     any_gauge_strategy,
     circle_sets_close,
+    closure_ratio,
     gauge_strategy,
+    inversion_chain,
+    mp_inversion_chain,
     radius_multisets_close,
     yiu_roots_oracle,
 )
@@ -169,16 +173,51 @@ class TestChainAtPhase:
         monkeypatch.setattr(porism, "concentric_model", lambda g: built.append(g) or real(g))
         thetas = [0.0, 0.2, 0.9, 1.4, 7.1]
         chains = list(chains_at_phases(g, thetas))
-        assert built == [g]
+        # the closed form needs no concentric model: it stays the test oracle
+        assert built == []
         # one construction path: the same chains, bit for bit, one at a time
         assert chains == [chain_at_phase(g, theta) for theta in thetas]
-        assert len(built) == 1 + len(thetas)
+        assert built == []
 
     @settings(max_examples=25, deadline=None)
     @given(any_gauge_strategy(), st.floats(0.01, 1.0))
     def test_random_gauge_chains_close_up(self, g, frac):
         chain = chain_at_phase(g, frac * 2 * math.pi / g.n)
         assert chain_residuals(chain).max() < 1e-9 * g.R
+
+
+class TestClosedFormAccuracy:
+    """chains_at_phases against the inversion through the concentric model."""
+
+    @pytest.mark.parametrize("ratio", [20.0, 1e3, 1e5, 1e8, 1e12])
+    @pytest.mark.parametrize("n", [3, 4, 16, 64])
+    def test_matches_60_digit_inversion(self, n, ratio):
+        # the reference inverts the given float (R, r, d), so only the
+        # construction's own arithmetic is judged, relative to each radius
+        g = Gauge.from_radii(n, ratio, 1.0)
+        worst = 0.0
+        for frac in (0.0, 0.37):
+            theta = frac * 2 * math.pi / n
+            chain = chain_at_phase(g, theta)
+            with mpmath.workdps(60):
+                for c, (x, y, rho) in zip(chain.circles, mp_inversion_chain(g, theta)):
+                    err = max(abs(c.center.x - x), abs(c.center.y - y), abs(c.radius - rho))
+                    worst = max(worst, float(err / rho))
+        assert worst <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 64), st.floats(1e-9, 1.0), st.floats(0.0, 2 * math.pi))
+    def test_matches_float_inversion_oracle(self, n, u, theta):
+        # R/r log-uniform from just above the closure boundary to 1e2
+        lo = closure_ratio(n) * (1.0 + 1e-9)
+        R = lo * (1e2 / lo) ** u
+        g = Gauge.from_radii(n, R, 1.0)
+        chain = chain_at_phase(g, theta)
+        for c, o in zip(chain.circles, inversion_chain(g, theta), strict=True):
+            err = max(
+                abs(c.center.x - o.center.x), abs(c.center.y - o.center.y), abs(c.radius - o.radius)
+            )
+            assert err <= 1e-9 * o.radius
 
 
 class TestYiuCoefficients:
