@@ -8,6 +8,7 @@ infeasible, invariance violation in a sweep); 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -136,11 +137,17 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     moments = moment_set(load_chain(args.chain), args.max_k)
-    for k, value in enumerate(moments.bending, start=1):
-        print(f"I{k} = {value!r}")
+    lines = [(f"I{k} = {v!r}", v) for k, v in enumerate(moments.bending, start=1)]
     if getattr(args, "complex"):
-        for (k, m), val in moments.complex_map.items():
-            print(f"J{k},{m} = {val.real!r} (imag {val.imag!r})")
+        lines += [
+            (f"J{k},{m} = {v.real!r} (imag {v.imag!r})", v)
+            for (k, m), v in moments.complex_map.items()
+        ]
+    bad = next((line for line, v in lines if not cmath.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"moment overflows the float range: {bad}")
+    for line, _ in lines:
+        print(line)
     return 0
 
 

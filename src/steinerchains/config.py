@@ -7,15 +7,13 @@ DEFAULT_TOLERANCE = 1e-9
 _override: float | None = None
 
 
-def tolerance(local: float | None = None) -> float:
+def tolerance() -> float:
     """Resolve the relative tolerance used by geometric residual checks.
 
-    Precedence: explicit argument, then set_tolerance(), then STEINER_TOL,
-    then the 1e-9 default. Residual comparisons scale this by the largest
-    length of the configuration at hand.
+    Precedence: set_tolerance(), then STEINER_TOL, then the 1e-9 default.
+    Residual comparisons scale this by the largest length of the
+    configuration at hand.
     """
-    if local is not None:
-        return local
     if _override is not None:
         return _override
     env = os.environ.get("STEINER_TOL")

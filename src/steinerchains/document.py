@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .config import tolerance
 from .geometry import Orientation, OrientedCircle, PlanePoint
 from .moments import sweep_header, sweep_rows
 from .porism import Gauge, SteinerChain, chain_residuals, parent_circles
@@ -27,7 +26,7 @@ def chain_to_document(chain: SteinerChain) -> dict:
     }
 
 
-def document_to_chain(doc: dict, validate: bool = True, tol: float | None = None) -> SteinerChain:
+def document_to_chain(doc: dict) -> SteinerChain:
     """Rebuild a chain from its document form, revalidating its tangencies."""
     try:
         g = Gauge(
@@ -50,14 +49,13 @@ def document_to_chain(doc: dict, validate: bool = True, tol: float | None = None
     if len(circles) != g.n:
         raise ValueError(f"document lists {len(circles)} circles for an n={g.n} gauge")
     chain = SteinerChain(g, phase, circles)
-    if validate:
-        res = chain_residuals(chain)
-        if res.max() > tolerance(tol) * g.R:
-            raise ValueError(
-                "chain document fails revalidation: residuals "
-                f"adjacent={res.adjacent:.3g} inner={res.inner:.3g} "
-                f"outer={res.outer:.3g} range={res.range_excess:.3g}"
-            )
+    res = chain_residuals(chain)
+    if not res.ok:
+        raise ValueError(
+            "chain document fails revalidation: residuals "
+            f"adjacent={res.adjacent:.3g} inner={res.inner:.3g} "
+            f"outer={res.outer:.3g} range={res.range_excess:.3g}"
+        )
     return chain
 
 
@@ -65,8 +63,8 @@ def save_chain(chain: SteinerChain, path: str | Path) -> None:
     Path(path).write_text(json.dumps(chain_to_document(chain), indent=2) + "\n")
 
 
-def load_chain(path: str | Path, validate: bool = True) -> SteinerChain:
-    return document_to_chain(json.loads(Path(path).read_text()), validate=validate)
+def load_chain(path: str | Path) -> SteinerChain:
+    return document_to_chain(json.loads(Path(path).read_text()))
 
 
 def _csv_text(n: int, rows: list[list[float]]) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .config import tolerance
 from .moments import third_moment_relation_residual
-from .porism import Gauge, neighbor_bends, poristic_range
+from .porism import Gauge, neighbor_bends, radius_window
 
 Quadruple = tuple[float, float, float, float]
 
@@ -53,7 +53,7 @@ class VirtualGaugeResult:
         return self.gauge is not None
 
 
-def virtual_gauge(I1: float, I2: float, tol: float | None = None) -> VirtualGaugeResult:
+def virtual_gauge(I1: float, I2: float) -> VirtualGaugeResult:
     """Solve 16 a^2 - 8 I1 a + (8 I2 - 3 I1^2) = 0 for the parent curvatures.
 
     The two roots are I1/4 +- sqrt(I1^2 - 2 I2)/2 and must straddle zero.
@@ -74,7 +74,7 @@ def virtual_gauge(I1: float, I2: float, tol: float | None = None) -> VirtualGaug
     r = 1.0 / a
     R = -1.0 / A
     radicand = R * R - 6.0 * R * r + r * r
-    if abs(radicand) <= tolerance(tol) * max(1.0, R * R):
+    if abs(radicand) <= tolerance() * max(1.0, R * R):
         radicand = 0.0  # concentric candidate up to roundoff
     if radicand < 0.0:
         return VirtualGaugeResult(
@@ -99,9 +99,7 @@ class FeasibilityReport:
     reasons: tuple[str, ...]
 
 
-def feasibility_check(
-    radii: Quadruple, mode: str = "paper", tol: float | None = None
-) -> FeasibilityReport:
+def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityReport:
     """Decide whether an ordered quadruple occurs as the radii of a 4-chain.
 
     mode "paper" runs the moment algorithm only (order-blind); mode
@@ -114,7 +112,7 @@ def feasibility_check(
     I1, I2, I3 = actual_moments(quad)
     reasons: list[str] = []
 
-    vg = virtual_gauge(I1, I2, tol)
+    vg = virtual_gauge(I1, I2)
     if not vg.ok:
         reasons.append(vg.failure or "virtual gauge recovery failed")
 
@@ -128,11 +126,8 @@ def feasibility_check(
     adjacency_check = None
     if vg.ok:
         assert vg.gauge is not None
-        R, r, d = vg.gauge
-        gauge = Gauge(4, R, r, d)
-        rng = poristic_range(gauge)
-        margin = tolerance(tol) * R
-        range_check = tuple(rng.r_min - margin <= v <= rng.r_max + margin for v in quad)
+        gauge = Gauge(4, *vg.gauge)
+        rng, range_check = radius_window(gauge, quad)
         if not all(range_check):
             bad = [v for v, ok in zip(quad, range_check) if not ok]
             reasons.append(
@@ -143,7 +138,7 @@ def feasibility_check(
             bend_scale = max(abs(b) for b in bends)
             checks = []
             for i in range(4):
-                expected = sorted(neighbor_bends(gauge, quad[i], tol))
+                expected = sorted(neighbor_bends(gauge, quad[i]))
                 got = sorted((bends[i - 1], bends[(i + 1) % 4]))
                 checks.append(
                     all(

@@ -83,7 +83,7 @@ def invert_point(pole: PlanePoint, z: PlanePoint) -> PlanePoint:
     return PlanePoint(pole.x + dx / d2, pole.y + dy / d2)
 
 
-def invert_circle(pole: PlanePoint, c: OrientedCircle, tol: float | None = None) -> OrientedCircle:
+def invert_circle(pole: PlanePoint, c: OrientedCircle) -> OrientedCircle:
     """Image of a circle under unit inversion at pole.
 
     A circle through the pole would map to a line; such inputs are rejected.
@@ -95,7 +95,7 @@ def invert_circle(pole: PlanePoint, c: OrientedCircle, tol: float | None = None)
     dy = c.center.y - pole.y
     s2 = dx * dx + dy * dy
     s = math.sqrt(s2)
-    if abs(s - c.radius) <= tolerance(tol) * c.radius:
+    if abs(s - c.radius) <= tolerance() * c.radius:
         raise ValueError("pole lies on the circle; the image would be a line")
     t = 1.0 / (s2 - c.radius * c.radius)
     center = PlanePoint(pole.x + dx * t, pole.y + dy * t)

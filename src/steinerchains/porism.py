@@ -40,7 +40,7 @@ class ChainPropagationError(ValueError):
     """Neighbor-bend propagation could not select a root."""
 
 
-def pedoe_distance(n: int, R: float, r: float, tol: float | None = None) -> float:
+def pedoe_distance(n: int, R: float, r: float) -> float:
     """Center distance d making (R, r, d) a closed-chain gauge of order n.
 
     Solves d = sqrt((R - r)^2 - 4 tan^2(pi/n) R r). Tiny negative radicands
@@ -54,7 +54,7 @@ def pedoe_distance(n: int, R: float, r: float, tol: float | None = None) -> floa
     q = math.tan(math.pi / n) ** 2
     radicand = (R - r) ** 2 - 4.0 * q * R * r
     if radicand < 0.0:
-        if radicand >= -tolerance(tol) * (R - r) ** 2:
+        if radicand >= -tolerance() * (R - r) ** 2:
             return 0.0
         raise InfeasibleGaugeError(
             f"no closed {n}-chain exists for radii R={R}, r={r} (radicand {radicand})"
@@ -113,10 +113,10 @@ class GaugeValidation:
     message: str
 
 
-def validate_gauge(g: Gauge, tol: float | None = None) -> GaugeValidation:
+def validate_gauge(g: Gauge) -> GaugeValidation:
     """Check the closure relation; d^2 residuals scale with R^2."""
     residual = g.pedoe_residual()
-    limit = tolerance(tol) * max(1.0, g.R**2)
+    limit = tolerance() * max(1.0, g.R**2)
     if residual <= limit:
         return GaugeValidation(True, residual, "ok")
     return GaugeValidation(
@@ -144,6 +144,14 @@ def poristic_range(g: Gauge) -> PoristicRange:
     r_min = (g.R - g.d - g.r) / 2.0
     r_max = (g.R + g.d - g.r) / 2.0
     return PoristicRange(r_min, r_max, 1.0 / r_max, 1.0 / r_min)
+
+
+def radius_window(g: Gauge, radii: Iterable[float]) -> tuple[PoristicRange, tuple[bool, ...]]:
+    """The family's radius range and, for each radius, whether it lies in
+    [r_min, r_max] widened at both ends by tolerance() * R."""
+    rng = poristic_range(g)
+    margin = tolerance() * g.R
+    return rng, tuple(rng.r_min - margin <= u <= rng.r_max + margin for u in radii)
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,15 +267,21 @@ def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
 
 @dataclass(frozen=True, slots=True)
 class ChainResiduals:
-    """Worst-case violations of the defining tangencies of a chain."""
+    """Worst-case violations of the defining tangencies of a chain, the
+    limit they are judged against, tolerance() * R, and the verdict ok."""
 
     adjacent: float
     inner: float
     outer: float
     range_excess: float
+    limit: float
 
     def max(self) -> float:
         return max(self.adjacent, self.inner, self.outer, self.range_excess)
+
+    @property
+    def ok(self) -> bool:
+        return self.max() <= self.limit
 
 
 def chain_residuals(chain: SteinerChain) -> ChainResiduals:
@@ -283,11 +297,11 @@ def chain_residuals(chain: SteinerChain) -> ChainResiduals:
     range_excess = max(
         max(rng.r_min - c.radius, c.radius - rng.r_max, 0.0) for c in chain.circles
     )
-    return ChainResiduals(adjacent, inner_res, outer_res, range_excess)
+    return ChainResiduals(adjacent, inner_res, outer_res, range_excess, tolerance() * chain.gauge.R)
 
 
-def is_valid_chain(chain: SteinerChain, tol: float | None = None) -> bool:
-    return chain_residuals(chain).max() <= tolerance(tol) * chain.gauge.R
+def is_valid_chain(chain: SteinerChain) -> bool:
+    return chain_residuals(chain).ok
 
 
 def conjugate_chain(chain: SteinerChain) -> SteinerChain:
@@ -314,18 +328,12 @@ class YiuCoefficients:
     gamma: float
 
 
-def _check_in_range(g: Gauge, u: float, tol: float | None) -> PoristicRange:
-    rng = poristic_range(g)
-    margin = tolerance(tol) * g.R
-    if not (rng.r_min - margin <= u <= rng.r_max + margin):
+def yiu_coefficients(g: Gauge, u: float) -> YiuCoefficients:
+    rng, (ok,) = radius_window(g, (u,))
+    if not ok:
         raise ValueError(
             f"radius u={u} outside the admissible range [{rng.r_min}, {rng.r_max}]"
         )
-    return rng
-
-
-def yiu_coefficients(g: Gauge, u: float, tol: float | None = None) -> YiuCoefficients:
-    _check_in_range(g, u, tol)
     q = g.q
     R, r = g.R, g.r
     alpha = (q + 1.0) ** 2 * R * R * r * r * u * u
@@ -334,7 +342,7 @@ def yiu_coefficients(g: Gauge, u: float, tol: float | None = None) -> YiuCoeffic
     return YiuCoefficients(alpha, beta, gamma)
 
 
-def neighbor_bends(g: Gauge, u: float, tol: float | None = None) -> tuple[float, float]:
+def neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
     """Bends of the two chain neighbors of a circle of radius u, ascending.
 
     The raw discriminant beta^2 - 4 alpha gamma cancels catastrophically near
@@ -343,8 +351,8 @@ def neighbor_bends(g: Gauge, u: float, tol: float | None = None) -> tuple[float,
     directly. Roundoff excursions past an endpoint clamp the vanishing
     factor to zero; anything worse is a domain error.
     """
-    rng = _check_in_range(g, u, tol)
-    co = yiu_coefficients(g, u, tol)
+    co = yiu_coefficients(g, u)
+    rng = poristic_range(g)
     q = g.q
     f_hi = max(rng.r_max - u, 0.0)
     f_lo = max(u - rng.r_min, 0.0)
@@ -354,22 +362,17 @@ def neighbor_bends(g: Gauge, u: float, tol: float | None = None) -> tuple[float,
     return (mid - half_split, mid + half_split)
 
 
-def neighbor_bend_sum(g: Gauge, u: float, tol: float | None = None) -> float:
-    co = yiu_coefficients(g, u, tol)
+def neighbor_bend_sum(g: Gauge, u: float) -> float:
+    co = yiu_coefficients(g, u)
     return -co.beta / co.alpha
 
 
-def neighbor_radius_sum(g: Gauge, u: float, tol: float | None = None) -> float:
-    co = yiu_coefficients(g, u, tol)
+def neighbor_radius_sum(g: Gauge, u: float) -> float:
+    co = yiu_coefficients(g, u)
     return -co.beta / co.gamma
 
 
-def chain_by_yiu(
-    g: Gauge,
-    u0: float,
-    branch_rule: str = "low",
-    tol: float | None = None,
-) -> tuple[tuple[float, ...], float]:
+def chain_by_yiu(g: Gauge, u0: float, branch_rule: str = "low") -> tuple[tuple[float, ...], float]:
     """Propagate radii around the chain from a seed radius u0.
 
     At each circle the neighbor quadratic has two roots; the one that is not
@@ -384,7 +387,7 @@ def chain_by_yiu(
     prev_bend: float | None = None
     u = u0
     for _ in range(g.n):
-        lo, hi = neighbor_bends(g, u, tol)
+        lo, hi = neighbor_bends(g, u)
         if prev_bend is None:
             nxt = lo if branch_rule == "low" else hi
         else:

@@ -65,8 +65,7 @@ def lateral_chain_n4(g: Gauge) -> tuple[tuple[float, float], SteinerChain]:
     R, r, d = g.R, g.r, g.d
     mid = (R - r) / (2.0 * R * r)
     half = d / (2.0 * math.sqrt(2.0) * R * r)
-    chain = chain_at_phase(g, math.pi / 4.0)
-    return (mid - half, mid + half), chain
+    return (mid - half, mid + half), symmetric_chain(g, SymmetricChainKind.LATERAL)
 
 
 def _axis_first_triple(chain: SteinerChain) -> tuple[float, float, float]:
@@ -107,8 +106,8 @@ def axial_triples_n3_printed(g: Gauge) -> AxialTriplesN3Report:
         ((R - r - d) / 2.0, comp2, comp2),
     )
     printed_bends = tuple(tuple(1.0 / v for v in triple) for triple in printed_radii)
-    solver_max = _axis_first_triple(chain_at_phase(g, 0.0))
-    solver_min = _axis_first_triple(chain_at_phase(g, math.pi / 3.0))
+    solver_max = _axis_first_triple(symmetric_chain(g, SymmetricChainKind.AXIAL_MAX))
+    solver_min = _axis_first_triple(symmetric_chain(g, SymmetricChainKind.AXIAL_MIN))
     solver_radii = (solver_max, solver_min)
 
     def pair_disc(printed, solver):
@@ -149,6 +148,6 @@ def axial_bends_n6(g: Gauge) -> AxialBendsN6Report:
         minus_mid,
         plus_mid,
     )
-    solver = chain_at_phase(g, 0.0).bends
+    solver = symmetric_chain(g, SymmetricChainKind.AXIAL_EVEN).bends
     disc = max(abs(p - s) / max(abs(s), 1e-300) for p, s in zip(printed, solver))
     return AxialBendsN6Report(printed, solver, disc)

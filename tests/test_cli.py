@@ -170,6 +170,27 @@ class TestCliCommands:
         assert main(["invariants", "--chain", str(out)]) == 0
         assert main(["render", "--chain", str(out), "--svg", str(tmp_path / "c.svg")]) == 0
 
+    def test_invariants_refuses_to_print_overflowed_moments(self, tmp_path, capsys):
+        # at R/r = 1e12 the centers reach |z| ~ 5e11, so z^m overflows a
+        # float past m ~ 25; the first non-finite value printed would be J26,26
+        n, ratio = HIGH_RATIOS[-1]
+        out = tmp_path / "c.json"
+        d = pedoe_distance(n, ratio, 1.0)
+        code = main(
+            ["chain", "--n", str(n), "--R", repr(ratio), "--r", "1", "--d", repr(d),
+             "--phase", "0", "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert main(["invariants", "--chain", str(out), "--complex"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "J26,26 = inf" in captured.err
+        # without --complex only the I_k are printed, and they are finite
+        assert main(["invariants", "--chain", str(out)]) == 0
+        values = [float(line.split(" = ")[1]) for line in capsys.readouterr().out.splitlines()]
+        assert len(values) == 64 and all(map(math.isfinite, values))
+
     def test_chain_rejects_invalid_gauge(self, tmp_path, capsys):
         out = tmp_path / "c.json"
         code = main(
@@ -307,7 +328,25 @@ class TestToleranceOverride:
         set_tolerance(1e-6)
         try:
             assert tolerance() == 1e-6
-            assert tolerance(1e-12) == 1e-12  # explicit argument wins
         finally:
             set_tolerance(None)
         assert tolerance() == 1e-9
+
+    def test_override_reaches_the_chain_judge(self):
+        # a radius moved by 1e-3 passes a 1e-2 * R limit and fails 1e-9 * R,
+        # for the document loader and is_valid_chain alike
+        from steinerchains import chain_residuals, set_tolerance, tolerance
+
+        doc = chain_to_document(chain_at_phase(G4, 0.3))
+        doc["circles"][0]["radius"] += 1e-3
+        set_tolerance(1e-2)
+        try:
+            chain = document_to_chain(doc)
+            assert is_valid_chain(chain)
+            assert chain_residuals(chain).limit == tolerance() * G4.R
+        finally:
+            set_tolerance(None)
+        assert chain_residuals(chain).limit == tolerance() * G4.R
+        assert not is_valid_chain(chain)
+        with pytest.raises(ValueError, match="revalidation"):
+            document_to_chain(doc)
