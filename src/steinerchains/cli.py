@@ -8,14 +8,16 @@ infeasible, invariance violation in a sweep); 2 on invalid input.
 from __future__ import annotations
 
 import argparse
-import cmath
+import functools
 import json
+import math
 import sys
 
 from .document import (
     chain_to_document,
     load_chain,
     render_svg,
+    require_finite,
     save_chain,
     write_sweep_csv,
 )
@@ -44,15 +46,29 @@ _KINDS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and infinities are invalid input."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_gauge_args(p: argparse.ArgumentParser, with_d: bool = True) -> None:
     p.add_argument("--n", type=int, required=True, help="chain length (>= 3)")
-    p.add_argument("--R", type=float, required=True, help="outer parent radius")
-    p.add_argument("--r", type=float, required=True, help="inner parent radius")
+    p.add_argument("--R", type=_finite_float, required=True, help="outer parent radius")
+    p.add_argument("--r", type=_finite_float, required=True, help="inner parent radius")
     if with_d:
-        p.add_argument("--d", type=float, required=True, help="center distance")
+        p.add_argument("--d", type=_finite_float, required=True, help="center distance")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by every later main() call; nothing may
+    change it afterwards, so each call parses against the same defaults."""
     parser = argparse.ArgumentParser(
         prog="steiner",
         description="Construct tangent-circle chains, verify their moment "
@@ -62,11 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gauge", help="validate (R, r, d) or derive d from (n, R, r)")
     _add_gauge_args(p, with_d=False)
-    p.add_argument("--d", type=float, default=None, help="center distance (omit to derive)")
+    p.add_argument("--d", type=_finite_float, default=None, help="center distance (omit to derive)")
 
     p = sub.add_parser("chain", help="build the chain at a phase and write it as JSON")
     _add_gauge_args(p)
-    p.add_argument("--phase", type=float, required=True)
+    p.add_argument("--phase", type=_finite_float, required=True)
     p.add_argument("--out", required=True, help="output JSON path")
 
     p = sub.add_parser("invariants", help="print moments of a stored chain")
@@ -80,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True, help="output CSV path")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_finite_float,
         default=1e-8,
         help="deviation above which an invariant counts as violated",
     )
@@ -137,16 +153,15 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     moments = moment_set(load_chain(args.chain), args.max_k)
-    lines = [(f"I{k} = {v!r}", v) for k, v in enumerate(moments.bending, start=1)]
+    lines = [f"I{k} = {v!r}" for k, v in enumerate(moments.bending, start=1)]
+    values = list(moments.bending)
     if getattr(args, "complex"):
         lines += [
-            (f"J{k},{m} = {v.real!r} (imag {v.imag!r})", v)
-            for (k, m), v in moments.complex_map.items()
+            f"J{k},{m} = {v.real!r} (imag {v.imag!r})" for (k, m), v in moments.complex_map.items()
         ]
-    bad = next((line for line, v in lines if not cmath.isfinite(v)), None)
-    if bad is not None:
-        raise ValueError(f"moment overflows the float range: {bad}")
-    for line, _ in lines:
+        values += moments.complex_map.values()
+    require_finite("moment overflows the float range", values, lines.__getitem__)
+    for line in lines:
         print(line)
     return 0
 

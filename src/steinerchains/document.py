@@ -6,7 +6,10 @@ double, so written artifacts are reproducible bit for bit across platforms.
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import json
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from .geometry import Orientation, OrientedCircle, PlanePoint
@@ -26,26 +29,37 @@ def chain_to_document(chain: SteinerChain) -> dict:
     }
 
 
+def require_finite(what: str, values: Sequence[complex], label: Callable[[int], str]) -> None:
+    """Raise ValueError (CLI exit 2) naming label(i) of the first non-finite values[i]."""
+    if not all(map(cmath.isfinite, values)):
+        bad = next(i for i, v in enumerate(values) if not cmath.isfinite(v))
+        raise ValueError(f"{what}: {label(bad)}")
+
+
+def _document_field(i: int) -> str:
+    """Where the i-th number that document_to_chain checks sits in the document."""
+    if i < 4:
+        return ("gauge.R", "gauge.r", "gauge.d", "phase")[i]
+    return f"circles[{(i - 4) // 3}].{('x', 'y', 'radius')[(i - 4) % 3]}"
+
+
 def document_to_chain(doc: dict) -> SteinerChain:
     """Rebuild a chain from its document form, revalidating its tangencies."""
     try:
-        g = Gauge(
-            int(doc["gauge"]["n"]),
-            float(doc["gauge"]["R"]),
-            float(doc["gauge"]["r"]),
-            float(doc["gauge"]["d"]),
-        )
-        phase = float(doc["phase"])
-        circles = tuple(
-            OrientedCircle(
-                PlanePoint(float(c["x"]), float(c["y"])),
-                float(c["radius"]),
-                Orientation.CHAIN_OR_INNER,
-            )
-            for c in doc["circles"]
-        )
+        gauge = doc["gauge"]
+        n = int(gauge["n"])
+        head = (float(gauge["R"]), float(gauge["r"]), float(gauge["d"]), float(doc["phase"]))
+        rows = [(float(c["x"]), float(c["y"]), float(c["radius"])) for c in doc["circles"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed chain document: {exc}") from exc
+    numbers = [*head, *itertools.chain.from_iterable(rows)]
+    require_finite("non-finite number in chain document", numbers, _document_field)
+    R, r, d, phase = head
+    g = Gauge(n, R, r, d)
+    circles = tuple(
+        OrientedCircle(PlanePoint(x, y), radius, Orientation.CHAIN_OR_INNER)
+        for x, y, radius in rows
+    )
     if len(circles) != g.n:
         raise ValueError(f"document lists {len(circles)} circles for an n={g.n} gauge")
     chain = SteinerChain(g, phase, circles)
@@ -80,8 +94,12 @@ def sweep_csv_text(g: Gauge, samples: int) -> str:
 
 
 def write_sweep_csv(g: Gauge, samples: int, path: str | Path) -> list[list[float]]:
-    """Write the moment sweep as CSV and return the sweep_rows table written."""
+    """Write the moment sweep as CSV and return the sweep_rows table written;
+    a moment that overflowed the float range raises ValueError before any write."""
     rows = sweep_rows(g, samples)
+    header = sweep_header(g.n)
+    for row in rows:
+        require_finite("moment overflows the float range", row, header.__getitem__)
     Path(path).write_text(_csv_text(g.n, rows))
     return rows
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,7 @@ from steinerchains import (
     save_chain,
     sweep_csv_text,
 )
-from steinerchains.cli import main
+from steinerchains.cli import build_parser, main
 from steinerchains.moments import InvarianceReport, sweep_header
 
 G3 = Gauge(3, 15.0, 1.0, 4.0)
@@ -58,6 +62,26 @@ class TestChainDocuments:
         save_chain(chain, path)
         back = load_chain(path)
         assert (back.gauge, back.phase, back.circles) == (chain.gauge, chain.phase, chain.circles)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["R", "r", "d", "phase"])
+    def test_non_finite_gauge_or_phase_rejected(self, field, value):
+        doc = chain_to_document(chain_at_phase(G4, 0.3))
+        (doc if field == "phase" else doc["gauge"])[field] = value
+        where = field if field == "phase" else f"gauge.{field}"
+        with pytest.raises(ValueError, match=rf"non-finite number in chain document: {where}$"):
+            document_to_chain(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "radius"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_circle_rejected_at_every_position(self, index, field, value):
+        # chain_residuals takes max over generators, which drops a NaN unless
+        # it comes first, so the check must come before revalidation
+        doc = chain_to_document(chain_at_phase(G4, 0.3))
+        doc["circles"][index][field] = value
+        with pytest.raises(ValueError, match=rf"chain document: circles\[{index}\]\.{field}$"):
+            document_to_chain(doc)
 
     def test_circle_count_must_match_order(self):
         doc = chain_to_document(chain_at_phase(G4, 0.3))
@@ -310,6 +334,112 @@ class TestCliCommands:
 
     def test_missing_file_is_invalid_input(self, capsys):
         assert main(["render", "--chain", "/nonexistent.json", "--svg", "/tmp/x.svg"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["gauge", "--n", "4", "--R={}", "--r", "1"], "--R"),
+            (["gauge", "--n", "4", "--R", "6", "--r={}"], "--r"),
+            (["gauge", "--n", "4", "--R", "6", "--r", "1", "--d={}"], "--d"),
+            (["chain", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
+              "--phase={}", "--out", "c.json"], "--phase"),
+            (["sweep", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
+              "--samples", "4", "--csv", "s.csv", "--tol={}"], "--tol"),
+        ],
+    )
+    def test_non_finite_option_is_invalid_input(self, tmp_path, monkeypatch, capsys, argv, option, value):
+        # the --opt=value form, since argparse reads a bare "-inf" as an option
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(value) for a in argv])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("radii", ["nan,1,2,3", "1,2,3,inf"])
+    def test_non_finite_radii_are_invalid_input(self, capsys, radii):
+        assert main(["feasible", "--radii", radii]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invariants", "render"])
+    def test_non_finite_document_is_invalid_input(self, tmp_path, capsys, command):
+        doc = chain_to_document(chain_at_phase(G4, 0.3))
+        doc["circles"][2]["x"] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes the NaN token and reads it back
+        svg = tmp_path / "c.svg"
+        argv = [command, "--chain", str(path)] + (["--svg", str(svg)] if command == "render" else [])
+        assert main(argv) == 2
+        assert "circles[2].x" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_sweep_overflow_is_invalid_input(self, tmp_path, capsys):
+        # at n = 64 and R/r = 1e12 the J_{k,m} overflow past m ~ 25; that is
+        # an input outside the float range, not an invariance violation
+        n, ratio = HIGH_RATIOS[-1]
+        csv_path = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--n", str(n), "--R", repr(ratio), "--r", "1",
+             "--d", repr(pedoe_distance(n, ratio, 1.0)), "--samples", "2", "--csv", str(csv_path)]
+        )
+        assert code == 2
+        assert "moment overflows the float range: ReJ26_26" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_defaults_leak_between_calls(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(
+            ["chain", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
+             "--phase", "0", "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        # --d was given to the previous call; gauge must still derive it
+        assert main(["gauge", "--n", "3", "--R", "15", "--r", "1"]) == 0
+        assert capsys.readouterr().out.startswith("d = 4.0")
+
+    def test_rejected_call_leaves_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gauge", "--n", "4", "--R", "6"])
+        assert exc.value.code == 2
+        assert main(["gauge", "--n", "4", "--R", "6", "--r", "1", "--d", "1"]) == 0
+
+    def test_help_is_identical_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: steiner")
+
+
+class TestOneShot:
+    """`python -m steinerchains` in a fresh interpreter: __main__ and entry()."""
+
+    @staticmethod
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "steinerchains", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_gauge_derives_distance(self):
+        proc = self.run("gauge", "--n", "3", "--R", "15", "--r", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("d = 4.0")
+
+    def test_invalid_input_exits_2(self):
+        proc = self.run("gauge", "--n", "4", "--R", "inf", "--r", "1")
+        assert proc.returncode == 2
+        assert "expected a finite number" in proc.stderr
 
 
 class TestToleranceOverride:
