@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="print moments of a stored chain")
     p.add_argument("--chain", required=True, help="chain JSON path")
-    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--max-k", type=int, default=None, help="highest I_k to print (>= 1)")
     p.add_argument("--complex", action="store_true", help="also print complex moments")
 
     p = sub.add_parser("sweep", help="write a per-phase moment table as CSV")
@@ -167,6 +167,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.tol < 0.0:
+        raise ValueError(f"--tol must be non-negative, got {args.tol!r}")
     g = _validated_gauge(args)
     report = InvarianceReport.from_rows(g.n, write_sweep_csv(g, args.samples, args.csv))
     for k in range(1, g.n + 1):

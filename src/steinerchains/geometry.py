@@ -33,6 +33,13 @@ class PlanePoint:
         return PlanePoint(self.x, -self.y)
 
 
+def checked_radius(radius: float) -> float:
+    """radius itself when it is positive and finite, else ValueError."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    return radius
+
+
 @dataclass(frozen=True, slots=True)
 class OrientedCircle:
     """Circle with a signed curvature convention attached.
@@ -45,8 +52,7 @@ class OrientedCircle:
     orientation: Orientation = Orientation.CHAIN_OR_INNER
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0) or not math.isfinite(self.radius):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        checked_radius(self.radius)
 
     @property
     def bend(self) -> float:

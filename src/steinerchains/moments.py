@@ -10,14 +10,16 @@ in the canonical frame.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import mul
 
-from .porism import TAU, Gauge, SteinerChain, chains_at_phases
+from .geometry import checked_radius
+from .porism import TAU, Gauge, SteinerChain, _circle_coordinates
 from .porism import chain_at_phase  # noqa: F401  (a binding bench/tracing.py wraps)
 
 
-def _powers(values: tuple, top: int) -> list[list]:
+def _powers(values: Sequence, top: int) -> list[list]:
     """[v^0, v^1, ..., v^top] elementwise, each power the previous one times v."""
     table = [[1.0] * len(values)]
     for _ in range(top):
@@ -26,30 +28,50 @@ def _powers(values: tuple, top: int) -> list[list]:
 
 
 def _moments(
-    chain: SteinerChain, top: int, pairs: list[tuple[int, int]]
-) -> tuple[list[float], dict[tuple[int, int], complex]]:
-    """The moment kernel: [I_0, ..., I_K] and {(k, m): J_{k,m}} for pairs,
-    K being the largest of top and the k in pairs.
+    bends: Sequence[float],
+    centers: Sequence[complex],
+    n: int,
+    top: int,
+    pairs: list[tuple[int, int]],
+) -> tuple[list[list[float]], dict[tuple[int, int], list[complex]]]:
+    """The moment kernel over a block of chains of n circles each, whose
+    bends and centers are listed chain after chain: per chain, [I_0, ..., I_K]
+    and {(k, m): J_{k,m}} for pairs, K being the largest of top and the k in
+    pairs. Each result is a column with one entry per chain.
 
-    One pass reads each circle's bend and center once and builds the powers
-    by repeated multiplication. Every J_{k,0} is I_k itself, so the m = 0
-    column equals the bending moments bit for bit.
+    The powers b^k and z^m are built once over the block by repeated
+    multiplication. Each chain's sum adds its own n terms in circle order,
+    so a chain gets the same bits alone as in any block. Every J_{k,0} is
+    I_k itself, so the m = 0 column equals the bending moments bit for bit.
     """
-    bpow = _powers(chain.bends, max([top, *(k for k, _ in pairs)]))
-    zpow = _powers(chain.centers, max((m for _, m in pairs), default=0))
-    bending = [sum(p) for p in bpow]
+    bpow = _powers(bends, max([top, *(k for k, _ in pairs)]))
+    zpow = _powers(centers, max((m for _, m in pairs), default=0))
+
+    def per_chain(terms: Iterable) -> list:
+        return list(map(sum, zip(*[iter(terms)] * n)))
+
+    bending = [per_chain(p) for p in bpow]
     cmap = {
-        (k, m): sum(map(mul, bpow[k], zpow[m])) if m else complex(bending[k])
+        (k, m): per_chain(map(mul, zpow[m], bpow[k])) if m else list(map(complex, bending[k]))
         for k, m in pairs
     }
     return bending, cmap
+
+
+def _chain_moments(
+    chain: SteinerChain, top: int, pairs: list[tuple[int, int]]
+) -> tuple[list[float], dict[tuple[int, int], complex]]:
+    """The kernel on a block of one chain."""
+    bends = chain.bends
+    bending, cmap = _moments(bends, chain.centers, len(bends), top, pairs)
+    return [col[0] for col in bending], {pair: col[0] for pair, col in cmap.items()}
 
 
 def bending_moment(chain: SteinerChain, k: int) -> float:
     """Sum of k-th powers of the chain bends."""
     if k < 0:
         raise ValueError("moment order k must be non-negative")
-    return _moments(chain, k, [])[0][k]
+    return _chain_moments(chain, k, [])[0][k]
 
 
 def complex_moment(chain: SteinerChain, k: int, m: int) -> complex:
@@ -60,7 +82,7 @@ def complex_moment(chain: SteinerChain, k: int, m: int) -> complex:
     """
     if k < 0 or m < 0:
         raise ValueError("moment orders must be non-negative")
-    return _moments(chain, k, [(k, m)])[1][(k, m)]
+    return _chain_moments(chain, k, [(k, m)])[1][(k, m)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,9 +100,13 @@ def invariant_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def moment_set(chain: SteinerChain, max_k: int | None = None) -> MomentSet:
+    """I_1..I_max_k (max_k defaults to n, and must be at least 1) and every
+    invariant J_{k,m} of one chain."""
     n = chain.gauge.n
     top = n if max_k is None else max_k
-    bending, cmap = _moments(chain, top, invariant_pairs(n))
+    if top < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
+    bending, cmap = _chain_moments(chain, top, invariant_pairs(n))
     return MomentSet(n, tuple(bending[1 : top + 1]), cmap)
 
 
@@ -136,23 +162,43 @@ def sweep_header(n: int) -> list[str]:
     return cols
 
 
+SWEEP_BLOCK_CIRCLES = 256
+"""A sweep computes its moments over blocks of about this many circles (at
+least one chain each): the power tables of a block are what it holds in memory."""
+
+
 def sweep_rows(g: Gauge, samples: int) -> list[list[float]]:
     """Per-phase moment table over `samples` uniform phases of one period,
-    with the columns of sweep_header."""
+    with the columns of sweep_header.
+
+    Each row holds the same bits as moment_set(chain_at_phase(g, theta)):
+    bends and centers come from the same closed form, and the kernel sums
+    each chain alone. The table is computed column by column over blocks of
+    phases and transposed into rows at the end of each block.
+    """
     if samples < 2:
         raise ValueError("a sweep needs at least 2 samples")
     n = g.n
     pairs = invariant_pairs(n)
     thetas = [(TAU / n) * j / samples for j in range(samples)]
-    rows = []
-    for theta, chain in zip(thetas, chains_at_phases(g, thetas)):
-        bending, cmap = _moments(chain, n, pairs)
-        row = [theta, *bending[1 : n + 1]]
+    per_block = max(1, SWEEP_BLOCK_CIRCLES // n)
+    rows: list[list[float]] = []
+    for start in range(0, samples, per_block):
+        block = thetas[start : start + per_block]
+        radii: list[float] = []
+        centers: list[complex] = []
+        for coords in _circle_coordinates(g, block):
+            xs, ys, rhos = zip(*coords)
+            radii += rhos
+            centers += map(complex, xs, ys)
+        bends = [1.0 / checked_radius(rho) for rho in radii]
+        bending, cmap = _moments(bends, centers, n, n, pairs)
+        columns = [block, *bending[1 : n + 1]]
         for pair in pairs:
-            val = cmap[pair]
-            row.append(val.real)
-            row.append(val.imag)
-        rows.append(row)
+            values = cmap[pair]
+            columns.append([v.real for v in values])
+            columns.append([v.imag for v in values])
+        rows += map(list, zip(*columns))
     return rows
 
 
@@ -175,22 +221,23 @@ class InvarianceReport:
 
     @classmethod
     def from_rows(cls, n: int, rows: list[list[float]]) -> "InvarianceReport":
-        """Report on a sweep_rows table, reading its columns by name."""
-        index = {name: i for i, name in enumerate(sweep_header(n))}
+        """Report on a sweep_rows table, reading each column at its position
+        in sweep_header(n): phase, I_1..I_n, then Re and Im of each pair."""
+        width = len(sweep_header(n))
+        if not rows or any(len(row) != width for row in rows):
+            raise ValueError(f"a sweep table for n={n} needs one or more rows of {width} values")
+        columns = zip(*rows)  # one column at a time, in header order
+        next(columns)  # phase
 
-        def column(name: str) -> list[float]:
-            i = index[name]
-            return [row[i] for row in rows]
-
-        def span(col: list[float]) -> float:
+        def span(col: Sequence[float]) -> float:
             return max(col) - min(col)
 
-        bending_dev = {k: span(column(f"I{k}")) for k in range(1, n + 1)}
+        bending_dev = {k: span(next(columns)) for k in range(1, n + 1)}
         complex_dev = {}
         max_imag = 0.0
-        for k, m in invariant_pairs(n):
-            im_col = column(f"ImJ{k}_{m}")
-            complex_dev[(k, m)] = max(span(column(f"ReJ{k}_{m}")), span(im_col))
+        for pair in invariant_pairs(n):
+            re_col, im_col = next(columns), next(columns)
+            complex_dev[pair] = max(span(re_col), span(im_col))
             max_imag = max(max_imag, max(map(abs, im_col)))
         return cls(n, len(rows), bending_dev, complex_dev, max_imag, bending_dev[n])
 

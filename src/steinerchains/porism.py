@@ -7,7 +7,7 @@ parent at the origin and the outer parent at (+d, 0).
 
 Chains are built in closed form: the bend and co-bends of each chain circle
 are affine in (cos t, sin t) of its angle t in the concentric model (see
-chains_at_phases). The concentric model itself, the inversion at a limiting
+_circle_coordinates). The concentric model itself, the inversion at a limiting
 point that makes the parents concentric, serves as the test oracle.
 """
 
@@ -220,8 +220,11 @@ def concentric_model(g: Gauge) -> ConcentricModel:
     return ConcentricModel(pole, center, outer_img.radius, inner_img.radius, False, mismatch)
 
 
-def chains_at_phases(g: Gauge, thetas: Iterable[float]) -> Iterator[SteinerChain]:
-    """Chains at each phase angle in thetas, built from closed-form coordinates.
+def _circle_coordinates(
+    g: Gauge, thetas: Iterable[float]
+) -> Iterator[list[tuple[float, float, float]]]:
+    """The (x, y, radius) of each chain circle at each phase angle in
+    thetas, in closed form.
 
     The chain circle at model angle t = theta + 2 pi k / n is the image of
     the ring circle at angle t of the concentric model. Its bend b and
@@ -238,7 +241,7 @@ def chains_at_phases(g: Gauge, thetas: Iterable[float]) -> Iterator[SteinerChain
     every t. Nothing cancels against the size of the outer parent: radii and
     centers match a 60-digit inversion of the same (R, r, d) to about 1e-13
     of each radius for R/r up to 1e12. theta = 0 gives the largest chain
-    circle, on the +x side of the parents.
+    circle, on the +x side of the parents. The radii are not checked here.
     """
     rng = poristic_range(g)
     b_min, b_max, r = rng.b_min, rng.b_max, g.r
@@ -250,13 +253,25 @@ def chains_at_phases(g: Gauge, thetas: Iterable[float]) -> Iterator[SteinerChain
     step = TAU / n
     sin = math.sin
     for theta in thetas:
-        circles = []
+        coords = []
         for k in range(n):
             t = theta + step * k
             h = sin(t / 2.0) ** 2
             b = b_min + b_span * h
-            center = PlanePoint((x_at_zero - x_slope * h) / b, y_amp * sin(t) / b)
-            circles.append(OrientedCircle(center, 1.0 / b, Orientation.CHAIN_OR_INNER))
+            coords.append(((x_at_zero - x_slope * h) / b, y_amp * sin(t) / b, 1.0 / b))
+        yield coords
+
+
+def chains_at_phases(g: Gauge, thetas: Iterable[float]) -> Iterator[SteinerChain]:
+    """Chains at each phase angle in thetas, built from the closed-form
+    coordinates of _circle_coordinates."""
+    thetas = tuple(thetas)
+    step = TAU / g.n
+    for theta, coords in zip(thetas, _circle_coordinates(g, thetas)):
+        circles = [
+            OrientedCircle(PlanePoint(x, y), rho, Orientation.CHAIN_OR_INNER)
+            for x, y, rho in coords
+        ]
         yield SteinerChain(g, theta % step, tuple(circles))
 
 
@@ -265,10 +280,20 @@ def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
     return next(chains_at_phases(g, (theta,)))
 
 
+def _worst(values: Iterable[float]) -> float:
+    """The largest of some non-negative values, or NaN if any is NaN: max()
+    keeps a NaN only when it comes first, while their sum is NaN exactly
+    when one of them is."""
+    values = list(values)
+    total = sum(values)
+    return max(values) if total == total else math.nan
+
+
 @dataclass(frozen=True, slots=True)
 class ChainResiduals:
     """Worst-case violations of the defining tangencies of a chain, the
-    limit they are judged against, tolerance() * R, and the verdict ok."""
+    limit they are judged against, tolerance() * R, and the verdict ok.
+    A residual that is NaN (a NaN coordinate) fails the verdict."""
 
     adjacent: float
     inner: float
@@ -277,7 +302,7 @@ class ChainResiduals:
     limit: float
 
     def max(self) -> float:
-        return max(self.adjacent, self.inner, self.outer, self.range_excess)
+        return _worst((self.adjacent, self.inner, self.outer, self.range_excess))
 
     @property
     def ok(self) -> bool:
@@ -288,13 +313,13 @@ def chain_residuals(chain: SteinerChain) -> ChainResiduals:
     inner, outer = parent_circles(chain.gauge)
     rng = poristic_range(chain.gauge)
     n = len(chain.circles)
-    adjacent = max(
+    adjacent = _worst(
         external_tangency_residual(chain.circles[i], chain.circles[(i + 1) % n])
         for i in range(n)
     )
-    inner_res = max(external_tangency_residual(c, inner) for c in chain.circles)
-    outer_res = max(internal_tangency_residual(outer, c) for c in chain.circles)
-    range_excess = max(
+    inner_res = _worst(external_tangency_residual(c, inner) for c in chain.circles)
+    outer_res = _worst(internal_tangency_residual(outer, c) for c in chain.circles)
+    range_excess = _worst(
         max(rng.r_min - c.radius, c.radius - rng.r_max, 0.0) for c in chain.circles
     )
     return ChainResiduals(adjacent, inner_res, outer_res, range_excess, tolerance() * chain.gauge.R)

@@ -10,6 +10,7 @@ import pytest
 
 from steinerchains import (
     Gauge,
+    bending_moment,
     chain_at_phase,
     chain_to_document,
     document_to_chain,
@@ -76,8 +77,7 @@ class TestChainDocuments:
     @pytest.mark.parametrize("field", ["x", "y", "radius"])
     @pytest.mark.parametrize("index", range(4))
     def test_non_finite_circle_rejected_at_every_position(self, index, field, value):
-        # chain_residuals takes max over generators, which drops a NaN unless
-        # it comes first, so the check must come before revalidation
+        # refused at parse time, with the field named, before revalidation
         doc = chain_to_document(chain_at_phase(G4, 0.3))
         doc["circles"][index][field] = value
         with pytest.raises(ValueError, match=rf"chain document: circles\[{index}\]\.{field}$"):
@@ -373,6 +373,29 @@ class TestCliCommands:
         assert main(argv) == 2
         assert "circles[2].x" in capsys.readouterr().err
         assert not svg.exists()
+
+    def test_negative_sweep_tolerance_is_invalid_input(self, tmp_path, capsys):
+        # a span is never below a negative threshold, so every sweep would
+        # be a violation; the option is refused before the CSV is written
+        csv_path = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
+             "--samples", "10", "--csv", str(csv_path), "--tol", "-1"]
+        )
+        assert code == 2
+        assert "--tol must be non-negative" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("max_k", ["0", "-2"])
+    def test_max_k_below_one_is_invalid_input(self, tmp_path, capsys, max_k):
+        path = tmp_path / "c.json"
+        save_chain(chain_at_phase(G4, 0.3), path)
+        assert main(["invariants", "--chain", str(path), "--max-k", max_k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"max_k must be at least 1, got {max_k}" in captured.err
+        assert main(["invariants", "--chain", str(path), "--max-k", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"I1 = {bending_moment(chain_at_phase(G4, 0.3), 1)!r}"]
 
     def test_sweep_overflow_is_invalid_input(self, tmp_path, capsys):
         # at n = 64 and R/r = 1e12 the J_{k,m} overflow past m ~ 25; that is

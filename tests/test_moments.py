@@ -7,17 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from steinerchains import (
     Gauge,
+    InvarianceReport,
     bending_moment,
     chain_at_phase,
     closed_form_I,
     complex_moment,
     first_two_moments_general,
     invariance_sweep,
+    invariant_pairs,
     moment_set,
     third_moment_relation_residual,
 )
+from steinerchains.moments import sweep_header, sweep_rows
 
-from conftest import exact_negative_control_span, gauge_strategy
+from conftest import closure_ratio, exact_negative_control_span, gauge_strategy
 
 G3 = Gauge(3, 15.0, 1.0, 4.0)
 G4 = Gauge(4, 6.0, 1.0, 1.0)
@@ -252,3 +255,61 @@ class TestMomentSet:
         for k in range(1, 3):
             assert ms.complex_map[(k, 0)].real == ms.bending[k - 1]
             assert ms.complex_map[(k, 0)].imag == 0.0
+
+    def test_max_k_below_one_rejected(self):
+        chain = chain_at_phase(G4, 0.2)
+        for max_k in (0, -2):
+            with pytest.raises(ValueError, match=f"max_k must be at least 1, got {max_k}"):
+                moment_set(chain, max_k)
+        assert moment_set(chain, 1).bending == (bending_moment(chain, 1),)
+
+
+# R/r just above the closure boundary, a moderate ratio, and 1e12; every
+# sample count with n <= 16, the costlier orders with the short sweeps
+SWEEP_CASES = [
+    (n, ratio, samples)
+    for n in (3, 4, 5, 16, 33, 64)
+    for ratio in ("boundary", 30.0, 1e12)
+    for samples in ((2, 3, 7, 100) if n <= 16 else (2, 3, 7))
+]
+
+
+class TestSweepRows:
+    """sweep_rows against the one-chain path: each row must carry the bits
+    of moment_set at the same phase, overflowed values (n = 64 at 1e12)
+    included, and the report must be the one from_rows makes of the table."""
+
+    @pytest.mark.parametrize("n, ratio, samples", SWEEP_CASES)
+    def test_rows_are_moment_sets_bit_for_bit(self, n, ratio, samples):
+        if ratio == "boundary":
+            ratio = closure_ratio(n) * (1.0 + 1e-9)
+        g = Gauge.from_radii(n, ratio, 1.0)
+        rows = sweep_rows(g, samples)
+        assert len(rows) == samples
+        for j, row in enumerate(rows):
+            theta = (2.0 * math.pi / n) * j / samples
+            ms = moment_set(chain_at_phase(g, theta))
+            want = [theta, *ms.bending]
+            for pair in invariant_pairs(n):
+                want += [ms.complex_map[pair].real, ms.complex_map[pair].imag]
+            assert len(row) == len(sweep_header(n))
+            assert repr(row) == repr(want)
+        # repr, since an overflowed table gives NaN spans and NaN != NaN
+        assert repr(invariance_sweep(g, samples)) == repr(InvarianceReport.from_rows(n, rows))
+
+    def test_non_finite_radius_rejected_like_chain_at_phase(self):
+        g = Gauge(4, math.inf, 1.0, math.inf)
+        with pytest.raises(ValueError) as from_chain:
+            chain_at_phase(g, 0.0)
+        with pytest.raises(ValueError) as from_sweep:
+            sweep_rows(g, 3)
+        assert str(from_sweep.value) == str(from_chain.value)
+        assert "radius must be positive and finite" in str(from_sweep.value)
+
+    def test_from_rows_rejects_wrong_width(self):
+        rows = sweep_rows(G4, 3)
+        wider = [row + [0.0] for row in rows]
+        narrower = [row[:-1] for row in rows]
+        for bad in (wider, narrower, rows[:2] + narrower[2:], []):
+            with pytest.raises(ValueError, match="rows of 25 values"):
+                InvarianceReport.from_rows(4, bad)

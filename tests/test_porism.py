@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 from steinerchains import (
     Gauge,
     InfeasibleGaugeError,
+    OrientedCircle,
+    PlanePoint,
+    SteinerChain,
     chain_at_phase,
     chain_by_yiu,
     chains_at_phases,
     chain_residuals,
     concentric_model,
     conjugate_chain,
+    is_valid_chain,
     neighbor_bend_sum,
     neighbor_bends,
     neighbor_radius_sum,
@@ -184,6 +188,25 @@ class TestChainAtPhase:
     def test_random_gauge_chains_close_up(self, g, frac):
         chain = chain_at_phase(g, frac * 2 * math.pi / g.n)
         assert chain_residuals(chain).max() < 1e-9 * g.R
+
+
+class TestChainResiduals:
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_coordinate_fails_the_verdict(self, index, field):
+        # max() over residuals keeps a NaN only when it comes first; a NaN
+        # at any circle and in either coordinate must still fail the chain
+        chain = chain_at_phase(Gauge.from_radii(4, 6.0, 1.0), 0.3)
+        circles = list(chain.circles)
+        c = circles[index]
+        x, y = (math.nan, c.center.y) if field == "x" else (c.center.x, math.nan)
+        circles[index] = OrientedCircle(PlanePoint(x, y), c.radius)
+        bad = SteinerChain(chain.gauge, chain.phase, tuple(circles))
+        res = chain_residuals(bad)
+        assert math.isnan(res.max())
+        assert not res.ok
+        assert not is_valid_chain(bad)
+        assert is_valid_chain(chain)
 
 
 class TestClosedFormAccuracy:
