@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import tolerance
 from .geometry import (
@@ -23,6 +23,7 @@ from .geometry import (
     OrientedCircle,
     PlanePoint,
     center_distance,
+    checked_radius,
     external_tangency_residual,
     internal_tangency_residual,
     invert_circle,
@@ -63,25 +64,44 @@ def pedoe_distance(n: int, R: float, r: float) -> float:
 
 
 @dataclass(frozen=True, slots=True)
+class PoristicRange:
+    """Extreme chain-circle radii of a family and their reciprocal bends.
+
+    Names follow the radius extremes: r_min pairs with the *largest* bend.
+    Parents that touch (d = R - r) give r_min = 0 and b_max = inf.
+    """
+
+    r_min: float
+    r_max: float
+    b_min: float  # bend of the largest circle, 2/(R + d - r)
+    b_max: float  # bend of the smallest circle, 2/(R - d - r)
+
+
+@dataclass(frozen=True, slots=True)
 class Gauge:
-    """Parent-circle datum of a poristic family."""
+    """Parent-circle datum of a poristic family. q = tan^2(pi/n) and the
+    radius range are computed once and left out of ==, hash and repr."""
 
     n: int
     R: float
     r: float
     d: float
+    q: float = field(init=False, repr=False, compare=False)
+    extremes: PoristicRange = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError("chain length n must be at least 3")
         if not (self.R > self.r > 0.0):
             raise ValueError("radii must satisfy R > r > 0")
-        if self.d < 0.0:
+        if not self.d >= 0.0:
             raise ValueError("center distance d must be non-negative")
-
-    @property
-    def q(self) -> float:
-        return math.tan(math.pi / self.n) ** 2
+        object.__setattr__(self, "q", math.tan(math.pi / self.n) ** 2)
+        r_min = (self.R - self.d - self.r) / 2.0
+        r_max = (self.R + self.d - self.r) / 2.0
+        b_min = 1.0 / r_max if r_max else math.inf
+        b_max = 1.0 / r_min if r_min else math.inf
+        object.__setattr__(self, "extremes", PoristicRange(r_min, r_max, b_min, b_max))
 
     @property
     def inner_bend(self) -> float:
@@ -127,31 +147,22 @@ def validate_gauge(g: Gauge) -> GaugeValidation:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class PoristicRange:
-    """Extreme chain-circle radii of a family and their reciprocal bends.
-
-    Names follow the radius extremes: r_min pairs with the *largest* bend.
-    """
-
-    r_min: float
-    r_max: float
-    b_min: float  # bend of the largest circle, 2/(R + d - r)
-    b_max: float  # bend of the smallest circle, 2/(R - d - r)
-
-
 def poristic_range(g: Gauge) -> PoristicRange:
-    r_min = (g.R - g.d - g.r) / 2.0
-    r_max = (g.R + g.d - g.r) / 2.0
-    return PoristicRange(r_min, r_max, 1.0 / r_max, 1.0 / r_min)
+    return g.extremes
+
+
+def _window(g: Gauge) -> tuple[PoristicRange, float, float]:
+    """The family's radius range and its ends widened by tolerance() * R."""
+    rng = g.extremes
+    margin = tolerance() * g.R
+    return rng, rng.r_min - margin, rng.r_max + margin
 
 
 def radius_window(g: Gauge, radii: Iterable[float]) -> tuple[PoristicRange, tuple[bool, ...]]:
     """The family's radius range and, for each radius, whether it lies in
     [r_min, r_max] widened at both ends by tolerance() * R."""
-    rng = poristic_range(g)
-    margin = tolerance() * g.R
-    return rng, tuple(rng.r_min - margin <= u <= rng.r_max + margin for u in radii)
+    rng, lo, hi = _window(g)
+    return rng, tuple([lo <= u <= hi for u in radii])  # a list builds faster than a generator
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,9 +252,12 @@ def _circle_coordinates(
     every t. Nothing cancels against the size of the outer parent: radii and
     centers match a 60-digit inversion of the same (R, r, d) to about 1e-13
     of each radius for R/r up to 1e12. theta = 0 gives the largest chain
-    circle, on the +x side of the parents. The radii are not checked here.
+    circle, on the +x side of the parents. ValueError unless r_min and r_max
+    are positive and finite.
     """
-    rng = poristic_range(g)
+    rng = g.extremes
+    checked_radius(rng.r_min)
+    checked_radius(rng.r_max)
     b_min, b_max, r = rng.b_min, rng.b_max, g.r
     b_span = b_max - b_min
     x_at_zero = 1.0 + r * b_min
@@ -311,7 +325,7 @@ class ChainResiduals:
 
 def chain_residuals(chain: SteinerChain) -> ChainResiduals:
     inner, outer = parent_circles(chain.gauge)
-    rng = poristic_range(chain.gauge)
+    rng = chain.gauge.extremes
     n = len(chain.circles)
     adjacent = _worst(
         external_tangency_residual(chain.circles[i], chain.circles[(i + 1) % n])
@@ -353,9 +367,11 @@ class YiuCoefficients:
     gamma: float
 
 
-def yiu_coefficients(g: Gauge, u: float) -> YiuCoefficients:
-    rng, (ok,) = radius_window(g, (u,))
-    if not ok:
+def _neighbor_quadratic(g: Gauge, u: float) -> tuple[PoristicRange, float, float, float]:
+    """The range u was checked against and (alpha, beta, gamma) of the
+    neighbor quadratic at u; ValueError if u lies outside radius_window."""
+    rng, lo, hi = _window(g)
+    if not lo <= u <= hi:
         raise ValueError(
             f"radius u={u} outside the admissible range [{rng.r_min}, {rng.r_max}]"
         )
@@ -364,6 +380,11 @@ def yiu_coefficients(g: Gauge, u: float) -> YiuCoefficients:
     alpha = (q + 1.0) ** 2 * R * R * r * r * u * u
     beta = 2.0 * (q + 1.0) * R * r * u * ((q - 1.0) * R * r - (R - r) * u)
     gamma = ((q + 1.0) * R * r - (R - r) * u) ** 2 + 4.0 * R * r * u * u
+    return rng, alpha, beta, gamma
+
+
+def yiu_coefficients(g: Gauge, u: float) -> YiuCoefficients:
+    _, alpha, beta, gamma = _neighbor_quadratic(g, u)
     return YiuCoefficients(alpha, beta, gamma)
 
 
@@ -376,25 +397,23 @@ def neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
     directly. Roundoff excursions past an endpoint clamp the vanishing
     factor to zero; anything worse is a domain error.
     """
-    co = yiu_coefficients(g, u)
-    rng = poristic_range(g)
-    q = g.q
+    rng, alpha, beta, _ = _neighbor_quadratic(g, u)
     f_hi = max(rng.r_max - u, 0.0)
     f_lo = max(u - rng.r_min, 0.0)
-    disc = 16.0 * (q + 1.0) ** 2 * g.R**3 * g.r**3 * u * u * f_hi * f_lo
-    half_split = math.sqrt(disc) / (2.0 * co.alpha)
-    mid = -co.beta / (2.0 * co.alpha)
+    disc = 16.0 * (g.q + 1.0) ** 2 * g.R**3 * g.r**3 * u * u * f_hi * f_lo
+    half_split = math.sqrt(disc) / (2.0 * alpha)
+    mid = -beta / (2.0 * alpha)
     return (mid - half_split, mid + half_split)
 
 
 def neighbor_bend_sum(g: Gauge, u: float) -> float:
-    co = yiu_coefficients(g, u)
-    return -co.beta / co.alpha
+    _, alpha, beta, _ = _neighbor_quadratic(g, u)
+    return -beta / alpha
 
 
 def neighbor_radius_sum(g: Gauge, u: float) -> float:
-    co = yiu_coefficients(g, u)
-    return -co.beta / co.gamma
+    _, _, beta, gamma = _neighbor_quadratic(g, u)
+    return -beta / gamma
 
 
 def chain_by_yiu(g: Gauge, u0: float, branch_rule: str = "low") -> tuple[tuple[float, ...], float]:

@@ -158,6 +158,11 @@ class TestCliCommands:
         assert main(["gauge", "--n", "4", "--R", "6", "--r", "1", "--d", "2"]) == 1
         assert "violation" in capsys.readouterr().out
 
+    def test_gauge_flags_touching_parents(self, capsys):
+        # d = R - r puts r_min at 0: a verdict, not a traceback
+        assert main(["gauge", "--n", "4", "--R", "6", "--r", "1", "--d", "5"]) == 1
+        assert "violation" in capsys.readouterr().out
+
     def test_gauge_rejects_bad_radii(self, capsys):
         assert main(["gauge", "--n", "4", "--R", "1", "--r", "6"]) == 2
 

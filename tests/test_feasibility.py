@@ -13,6 +13,7 @@ from steinerchains import (
     feasibility_check,
     virtual_gauge,
 )
+from steinerchains import porism
 
 from conftest import gauge_strategy
 
@@ -126,6 +127,21 @@ class TestFeasibilityCheck:
         assert constructive.adjacency_check is not None
         assert not constructive.adjacency_check[1]
         assert any("ordering" in reason for reason in constructive.reasons)
+
+    @pytest.mark.parametrize("mode", ["paper", "constructive"])
+    def test_one_radius_range_per_check(self, mode, monkeypatch):
+        built = []
+
+        class CountingRange(porism.PoristicRange):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(porism, "PoristicRange", CountingRange)
+        assert feasibility_check((2.0, 2.4, 3.0, 2.4), mode).feasible
+        assert len(built) == 1
 
     def test_unit_radii_feasible(self):
         # four unit circles close around the concentric candidate parents

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import pytest
@@ -9,6 +11,7 @@ from steinerchains import (
     InfeasibleGaugeError,
     OrientedCircle,
     PlanePoint,
+    PoristicRange,
     SteinerChain,
     chain_at_phase,
     chain_by_yiu,
@@ -25,6 +28,7 @@ from steinerchains import (
     validate_gauge,
     yiu_coefficients,
 )
+from steinerchains.moments import sweep_rows
 
 from conftest import (
     GAUGE_DOMAINS,
@@ -94,6 +98,65 @@ class TestPoristicRange:
     def test_concentric(self):
         rng = poristic_range(G6)
         assert (rng.r_min, rng.r_max) == (1.0, 1.0)
+
+
+class TestStoredConstants:
+    """q and the radius range are computed once, when a Gauge is built."""
+
+    @staticmethod
+    def closed_form(g):
+        r_min = (g.R - g.d - g.r) / 2.0
+        r_max = (g.R + g.d - g.r) / 2.0
+        return math.tan(math.pi / g.n) ** 2, PoristicRange(r_min, r_max, 1.0 / r_max, 1.0 / r_min)
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_bit_equal_to_closed_form(self, n):
+        boundary = closure_ratio(n)
+        ratios = [boundary, boundary * (1 + 1e-9), boundary * 1.5]
+        ratios += [10.0**e for e in range(1, 13) if 10.0**e > boundary]
+        for ratio in ratios:
+            for g in (Gauge.from_radii(n, ratio, 1.0), Gauge(n, ratio, 1.0, ratio / 3)):
+                q, rng = self.closed_form(g)
+                assert (g.q, poristic_range(g)) == (q, rng), (n, ratio)
+
+    def test_left_out_of_repr_eq_and_hash(self):
+        g = Gauge(4, 6.0, 1.0, 1.0)
+        assert repr(g) == "Gauge(n=4, R=6.0, r=1.0, d=1.0)"
+        other = Gauge(4, 6.0, 1.0, 1.0)
+        object.__setattr__(other, "q", 0.0)
+        object.__setattr__(other, "extremes", PoristicRange(0.0, 0.0, 0.0, 0.0))
+        assert other == g and hash(other) == hash(g)
+
+    def test_replace_recomputes(self):
+        g = dataclasses.replace(G4, R=15.0, d=4.0, n=3)
+        assert (g.q, poristic_range(g)) == self.closed_form(g)
+        assert (poristic_range(g).r_min, poristic_range(g).r_max) == (5.0, 9.0)
+
+    def test_pickle_keeps(self):
+        g = pickle.loads(pickle.dumps(G3))
+        assert g == G3
+        assert (g.q, poristic_range(g)) == (G3.q, poristic_range(G3))
+
+    def test_touching_parents_construct(self):
+        rng = poristic_range(Gauge(4, 6.0, 1.0, 5.0))
+        assert (rng.r_min, rng.r_max, rng.b_max) == (0.0, 5.0, math.inf)
+        assert not validate_gauge(Gauge(4, 6.0, 1.0, 5.0)).ok
+
+
+class TestDegenerateGauges:
+    def test_nan_distance_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            Gauge(4, 6.0, 1.0, math.nan)
+
+    @pytest.mark.parametrize("R, d", [(math.inf, 1.0), (6.0, 5.0)])
+    def test_chain_and_sweep_raise_value_error(self, R, d):
+        g = Gauge(4, R, 1.0, d)
+        with pytest.raises(ValueError) as from_chain:
+            chain_at_phase(g, 0.0)
+        with pytest.raises(ValueError) as from_sweep:
+            sweep_rows(g, 3)
+        assert str(from_sweep.value) == str(from_chain.value)
+        assert "radius must be positive and finite" in str(from_chain.value)
 
 
 class TestConcentricModel:
