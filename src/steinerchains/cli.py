@@ -13,21 +13,7 @@ import json
 import math
 import sys
 
-from .document import (
-    chain_to_document,
-    load_chain,
-    render_svg,
-    require_finite,
-    save_chain,
-    write_sweep_csv,
-)
-from .feasibility import feasibility_check
-from .moments import InvarianceReport, moment_set
-from .moments import (  # noqa: F401  (bindings bench/tracing.py wraps)
-    bending_moment,
-    complex_moment,
-    invariance_sweep,
-)
+from . import _lazy
 from .porism import (
     Gauge,
     InfeasibleGaugeError,
@@ -36,14 +22,25 @@ from .porism import (
     poristic_range,
     validate_gauge,
 )
-from .symmetric import SymmetricChainKind, symmetric_chain
 
-_KINDS = {
-    "axial-max": SymmetricChainKind.AXIAL_MAX,
-    "axial-min": SymmetricChainKind.AXIAL_MIN,
-    "axial": SymmetricChainKind.AXIAL_EVEN,
-    "lateral": SymmetricChainKind.LATERAL,
-}
+# Loaded when a command that calls them first runs (see main); each is then a
+# global of this module, the binding bench/tracing.py wraps.
+__getattr__ = _lazy(
+    globals(),
+    {
+        "document": (
+            "chain_to_document", "load_chain", "render_svg", "require_finite", "save_chain",
+            "write_sweep_csv",
+        ),
+        "feasibility": ("feasibility_check",),
+        "moments": (
+            "InvarianceReport", "moment_set", "bending_moment", "complex_moment", "invariance_sweep",
+        ),
+        "symmetric": ("SymmetricChainKind", "symmetric_chain"),
+    },
+)
+
+_KINDS = ("axial-max", "axial-min", "axial", "lateral")  # SymmetricChainKind values
 
 
 def _finite_float(text: str) -> float:
@@ -186,7 +183,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_symmetric(args: argparse.Namespace) -> int:
     g = _validated_gauge(args)
-    chain = symmetric_chain(g, _KINDS[args.kind])
+    chain = symmetric_chain(g, SymmetricChainKind(args.kind))
     doc = chain_to_document(chain)
     print(json.dumps(doc, indent=2))
     if args.out:
@@ -230,21 +227,26 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+# command: (function, the modules whose names it calls)
 _COMMANDS = {
-    "gauge": _cmd_gauge,
-    "chain": _cmd_chain,
-    "invariants": _cmd_invariants,
-    "sweep": _cmd_sweep,
-    "symmetric": _cmd_symmetric,
-    "feasible": _cmd_feasible,
-    "render": _cmd_render,
+    "gauge": (_cmd_gauge, ()),
+    "chain": (_cmd_chain, ("document",)),
+    "invariants": (_cmd_invariants, ("document", "moments")),
+    "sweep": (_cmd_sweep, ("document", "moments")),
+    "symmetric": (_cmd_symmetric, ("document", "symmetric")),
+    "feasible": (_cmd_feasible, ("feasibility",)),
+    "render": (_cmd_render, ("document",)),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, modules = _COMMANDS[args.command]
+    for module in modules:
+        if module not in globals():
+            __getattr__(module)
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except InfeasibleGaugeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1

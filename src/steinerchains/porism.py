@@ -41,6 +41,16 @@ class ChainPropagationError(ValueError):
     """Neighbor-bend propagation could not select a root."""
 
 
+def _closure_q(n: int) -> float:
+    """tan^2(pi/n), after checking that n is a chain length a float can hold."""
+    if n < 3:
+        raise ValueError("chain length n must be at least 3")
+    try:
+        return math.tan(math.pi / n) ** 2
+    except OverflowError:  # an int n past the float range
+        raise ValueError("chain length n is too large") from None
+
+
 def pedoe_distance(n: int, R: float, r: float) -> float:
     """Center distance d making (R, r, d) a closed-chain gauge of order n.
 
@@ -48,11 +58,9 @@ def pedoe_distance(n: int, R: float, r: float) -> float:
     (roundoff at the concentric boundary) clamp to zero; genuinely negative
     ones raise InfeasibleGaugeError.
     """
-    if n < 3:
-        raise ValueError("chain length n must be at least 3")
+    q = _closure_q(n)
     if not (R > r > 0.0):
         raise ValueError("radii must satisfy R > r > 0")
-    q = math.tan(math.pi / n) ** 2
     radicand = (R - r) ** 2 - 4.0 * q * R * r
     if radicand < 0.0:
         if radicand >= -tolerance() * (R - r) ** 2:
@@ -90,13 +98,11 @@ class Gauge:
     extremes: PoristicRange = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("chain length n must be at least 3")
+        object.__setattr__(self, "q", _closure_q(self.n))
         if not (self.R > self.r > 0.0):
             raise ValueError("radii must satisfy R > r > 0")
         if not self.d >= 0.0:
             raise ValueError("center distance d must be non-negative")
-        object.__setattr__(self, "q", math.tan(math.pi / self.n) ** 2)
         r_min = (self.R - self.d - self.r) / 2.0
         r_max = (self.R + self.d - self.r) / 2.0
         b_min = 1.0 / r_max if r_max else math.inf

@@ -469,6 +469,24 @@ class TestOneShot:
         assert proc.returncode == 2
         assert "expected a finite number" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauge"],
+            ["gauge", "--d", "1"],
+            ["chain", "--d", "1", "--phase", "0", "--out", "{tmp}/c.json"],
+            ["sweep", "--d", "1", "--samples", "2", "--csv", "{tmp}/s.csv"],
+            ["symmetric", "--d", "1", "--kind", "axial"],
+        ],
+    )
+    def test_chain_length_past_the_float_range_exits_2(self, tmp_path, argv):
+        # math.pi / n cannot convert such an int to a float
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        proc = self.run(*argv, "--n", "1" + "0" * 400, "--R", "6", "--r", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: chain length n is too large\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestToleranceOverride:
     def test_env_variable_loosens_validation(self, monkeypatch, capsys):

@@ -68,6 +68,12 @@ class TestPedoe:
         with pytest.raises(ValueError):
             pedoe_distance(4, 1, 6)
 
+    def test_n_past_the_float_range(self):
+        # invalid input, not the OverflowError of converting n to a float
+        for build in (lambda n: pedoe_distance(n, 6, 1), lambda n: Gauge(n, 6.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="chain length n is too large"):
+                build(10**400)
+
 
 class TestValidateGauge:
     def test_example_gauge_ok(self):
