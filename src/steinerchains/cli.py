@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
 from . import _lazy
 from .porism import (
+    MAX_CHAIN_LENGTH,
     Gauge,
     InfeasibleGaugeError,
     chain_at_phase,
@@ -55,7 +55,7 @@ def _finite_float(text: str) -> float:
 
 
 def _add_gauge_args(p: argparse.ArgumentParser, with_d: bool = True) -> None:
-    p.add_argument("--n", type=int, required=True, help="chain length (>= 3)")
+    p.add_argument("--n", type=int, required=True, help=f"chain length (3 to {MAX_CHAIN_LENGTH})")
     p.add_argument("--R", type=_finite_float, required=True, help="outer parent radius")
     p.add_argument("--r", type=_finite_float, required=True, help="inner parent radius")
     if with_d:
@@ -184,8 +184,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_symmetric(args: argparse.Namespace) -> int:
     g = _validated_gauge(args)
     chain = symmetric_chain(g, SymmetricChainKind(args.kind))
-    doc = chain_to_document(chain)
-    print(json.dumps(doc, indent=2))
+    import json  # only this command prints JSON; the others start without it
+
+    print(json.dumps(chain_to_document(chain), indent=2))
     if args.out:
         save_chain(chain, args.out)
     return 0

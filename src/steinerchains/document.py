@@ -12,9 +12,9 @@ import json
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
-from .geometry import Orientation, OrientedCircle, PlanePoint
+from .geometry import checked_radius
 from .moments import sweep_header, sweep_rows
-from .porism import Gauge, SteinerChain, chain_residuals, parent_circles
+from .porism import Gauge, SteinerChain, chain_residuals
 
 
 def chain_to_document(chain: SteinerChain) -> dict:
@@ -22,10 +22,7 @@ def chain_to_document(chain: SteinerChain) -> dict:
     return {
         "gauge": {"n": g.n, "R": g.R, "r": g.r, "d": g.d},
         "phase": chain.phase,
-        "circles": [
-            {"x": c.center.x, "y": c.center.y, "radius": c.radius}
-            for c in chain.circles
-        ],
+        "circles": [{"x": x, "y": y, "radius": rho} for x, y, rho in chain.rows],
     }
 
 
@@ -56,13 +53,11 @@ def document_to_chain(doc: dict) -> SteinerChain:
     require_finite("non-finite number in chain document", numbers, _document_field)
     R, r, d, phase = head
     g = Gauge(n, R, r, d)
-    circles = tuple(
-        OrientedCircle(PlanePoint(x, y), radius, Orientation.CHAIN_OR_INNER)
-        for x, y, radius in rows
-    )
-    if len(circles) != g.n:
-        raise ValueError(f"document lists {len(circles)} circles for an n={g.n} gauge")
-    chain = SteinerChain(g, phase, circles)
+    for _, _, radius in rows:
+        checked_radius(radius)
+    if len(rows) != g.n:
+        raise ValueError(f"document lists {len(rows)} circles for an n={g.n} gauge")
+    chain = SteinerChain(g, phase, tuple(rows))
     res = chain_residuals(chain)
     if not res.ok:
         raise ValueError(
@@ -111,28 +106,25 @@ def render_svg(chain: SteinerChain) -> bytes:
     is flipped so the figure appears in mathematical orientation. Output is
     deterministic for identical input.
     """
-    inner, outer = parent_circles(chain.gauge)
-    half = outer.radius * 1.05
-    x0 = outer.center.x - half
-    y0 = -outer.center.y - half + 0.0
-    stroke = outer.radius / 200.0
+    g = chain.gauge
+    half = g.R * 1.05
+    x0 = g.d - half
+    y0 = -half
+    stroke = g.R / 200.0
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{x0!r} {y0!r} {2 * half!r} {2 * half!r}">',
         f'<g fill="none" stroke-width="{stroke!r}">',
     ]
 
-    def circle(c: OrientedCircle, color: str) -> str:
-        cy = -c.center.y + 0.0  # avoid repr of negative zero
-        return (
-            f'<circle cx="{c.center.x!r}" cy="{cy!r}" '
-            f'r="{c.radius!r}" stroke="{color}"/>'
-        )
+    def circle(x: float, y: float, radius: float, color: str) -> str:
+        cy = -y + 0.0  # avoid repr of negative zero
+        return f'<circle cx="{x!r}" cy="{cy!r}" r="{radius!r}" stroke="{color}"/>'
 
-    parts.append(circle(outer, "#303030"))
-    parts.append(circle(inner, "#909090"))
-    for c in chain.circles:
-        parts.append(circle(c, "#1f6fb4"))
+    parts.append(circle(g.d, 0.0, g.R, "#303030"))  # the parents
+    parts.append(circle(0.0, 0.0, g.r, "#909090"))
+    for x, y, radius in chain.rows:
+        parts.append(circle(x, y, radius, "#1f6fb4"))
     parts.append("</g>")
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

@@ -24,13 +24,16 @@ from .geometry import (
     PlanePoint,
     center_distance,
     checked_radius,
-    external_tangency_residual,
-    internal_tangency_residual,
     invert_circle,
     limiting_points,
 )
 
 TAU = 2.0 * math.pi
+MAX_CHAIN_LENGTH = 64
+"""The largest chain length n a Gauge accepts: the domain the tests cover.
+For R >> r the smallest circle has radius about tan^2(pi/n) r, which at
+n = 64 and R/r = 1e12 is still some 20 float steps of R; a sweep costs
+O(n^3) per phase."""
 
 
 class InfeasibleGaugeError(ValueError):
@@ -42,13 +45,12 @@ class ChainPropagationError(ValueError):
 
 
 def _closure_q(n: int) -> float:
-    """tan^2(pi/n), after checking that n is a chain length a float can hold."""
+    """tan^2(pi/n), after checking that 3 <= n <= MAX_CHAIN_LENGTH."""
     if n < 3:
         raise ValueError("chain length n must be at least 3")
-    try:
-        return math.tan(math.pi / n) ** 2
-    except OverflowError:  # an int n past the float range
-        raise ValueError("chain length n is too large") from None
+    if n > MAX_CHAIN_LENGTH:
+        raise ValueError("chain length n is too large")
+    return math.tan(math.pi / n) ** 2
 
 
 def pedoe_distance(n: int, R: float, r: float) -> float:
@@ -176,24 +178,36 @@ class SteinerChain:
     """Closed ring of n circles at one phase of a poristic family.
 
     Circles are listed counterclockwise in the concentric model, starting at
-    the image of the phase angle. Phase is normalized to [0, 2 pi / n).
+    the image of the phase angle, each as an (x, y, radius) row. Phase is
+    normalized to [0, 2 pi / n). The circles as OrientedCircle objects are
+    built when first read and kept, left out of ==, hash and repr.
     """
 
     gauge: Gauge
     phase: float
-    circles: tuple[OrientedCircle, ...]
+    rows: tuple[tuple[float, float, float], ...]
+    _circles: tuple[OrientedCircle, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def circles(self) -> tuple[OrientedCircle, ...]:
+        if self._circles is None:
+            circles = tuple([OrientedCircle(PlanePoint(x, y), rho) for x, y, rho in self.rows])
+            object.__setattr__(self, "_circles", circles)
+        return self._circles
 
     @property
     def radii(self) -> tuple[float, ...]:
-        return tuple(c.radius for c in self.circles)
+        return tuple([rho for _, _, rho in self.rows])
 
     @property
     def bends(self) -> tuple[float, ...]:
-        return tuple(c.bend for c in self.circles)
+        return tuple([1.0 / rho for _, _, rho in self.rows])
 
     @property
     def centers(self) -> tuple[complex, ...]:
-        return tuple(c.center.as_complex() for c in self.circles)
+        return tuple([complex(x, y) for x, y, _ in self.rows])
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,16 +297,12 @@ def _circle_coordinates(
 
 
 def chains_at_phases(g: Gauge, thetas: Iterable[float]) -> Iterator[SteinerChain]:
-    """Chains at each phase angle in thetas, built from the closed-form
+    """Chains at each phase angle in thetas, whose rows are the closed-form
     coordinates of _circle_coordinates."""
     thetas = tuple(thetas)
     step = TAU / g.n
     for theta, coords in zip(thetas, _circle_coordinates(g, thetas)):
-        circles = [
-            OrientedCircle(PlanePoint(x, y), rho, Orientation.CHAIN_OR_INNER)
-            for x, y, rho in coords
-        ]
-        yield SteinerChain(g, theta % step, tuple(circles))
+        yield SteinerChain(g, theta % step, tuple(coords))
 
 
 def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
@@ -330,19 +340,22 @@ class ChainResiduals:
 
 
 def chain_residuals(chain: SteinerChain) -> ChainResiduals:
-    inner, outer = parent_circles(chain.gauge)
-    rng = chain.gauge.extremes
-    n = len(chain.circles)
-    adjacent = _worst(
-        external_tangency_residual(chain.circles[i], chain.circles[(i + 1) % n])
-        for i in range(n)
-    )
-    inner_res = _worst(external_tangency_residual(c, inner) for c in chain.circles)
-    outer_res = _worst(internal_tangency_residual(outer, c) for c in chain.circles)
-    range_excess = _worst(
-        max(rng.r_min - c.radius, c.radius - rng.r_max, 0.0) for c in chain.circles
-    )
-    return ChainResiduals(adjacent, inner_res, outer_res, range_excess, tolerance() * chain.gauge.R)
+    """The residuals of external_tangency_residual between neighbours and
+    with the inner parent, and of internal_tangency_residual in the outer
+    parent, bit for bit, computed over the rows column by column."""
+    g = chain.gauge
+    R, r, d = g.R, g.r, g.d
+    r_min, r_max = g.extremes.r_min, g.extremes.r_max
+    rows = chain.rows
+    hypot = math.hypot
+    if not all([R > rho for _, _, rho in rows]):
+        raise ValueError("internal tangency needs outer.radius > inner.radius")
+    pairs = zip(rows, rows[1:] + rows[:1])  # each circle and the next
+    adjacent = _worst([abs(hypot(x - u, y - v) - (rho + s)) for (x, y, rho), (u, v, s) in pairs])
+    inner = _worst([abs(hypot(x, y) - (rho + r)) for x, y, rho in rows])
+    outer = _worst([abs(hypot(d - x, y) - (R - rho)) for x, y, rho in rows])
+    range_excess = _worst([max(r_min - rho, rho - r_max, 0.0) for _, _, rho in rows])
+    return ChainResiduals(adjacent, inner, outer, range_excess, tolerance() * R)
 
 
 def is_valid_chain(chain: SteinerChain) -> bool:
@@ -360,7 +373,7 @@ def conjugate_chain(chain: SteinerChain) -> SteinerChain:
     phase = 0.0 if chain.phase == 0.0 else step - chain.phase
     if phase >= step:
         phase = 0.0
-    return SteinerChain(chain.gauge, phase, tuple(c.conjugate() for c in chain.circles))
+    return SteinerChain(chain.gauge, phase, tuple([(x, -y, rho) for x, y, rho in chain.rows]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -70,9 +70,10 @@ def lateral_chain_n4(g: Gauge) -> tuple[tuple[float, float], SteinerChain]:
 
 def _axis_first_triple(chain: SteinerChain) -> tuple[float, float, float]:
     """Radii of a 3-chain ordered (axis circle, companion, companion)."""
-    axis = min(chain.circles, key=lambda c: abs(c.center.y))
-    companions = sorted(c.radius for c in chain.circles if c is not axis)
-    return (axis.radius, companions[0], companions[1])
+    rows = chain.rows
+    axis = min(range(len(rows)), key=lambda i: abs(rows[i][1]))
+    companions = sorted(rho for i, (_, _, rho) in enumerate(rows) if i != axis)
+    return (rows[axis][2], companions[0], companions[1])
 
 
 @dataclass(frozen=True, slots=True)

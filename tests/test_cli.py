@@ -229,6 +229,31 @@ class TestCliCommands:
         assert code == 2
         assert not out.exists()
 
+    def test_chain_length_above_the_bound_is_invalid_input(self, tmp_path, capsys):
+        with pytest.raises(ValueError):  # refused before any circle is built
+            Gauge(100_000_000, 6.0, 1.0, 5.0)
+        out = tmp_path / "c.json"
+        code = main(
+            ["chain", "--n", "100000000", "--R", "6", "--r", "1", "--d", "4.999999999999997",
+             "--phase", "0", "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: chain length n is too large\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", [0.0, -1.5])
+    @pytest.mark.parametrize("command", ["invariants", "render"])
+    def test_non_positive_document_radius_is_invalid_input(self, tmp_path, capsys, command, radius):
+        doc = chain_to_document(chain_at_phase(G4, 0.3))
+        doc["circles"][1]["radius"] = radius
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        svg = tmp_path / "c.svg"
+        argv = [command, "--chain", str(path)] + (["--svg", str(svg)] if command == "render" else [])
+        assert main(argv) == 2
+        assert f"radius must be positive and finite, got {radius!r}" in capsys.readouterr().err
+        assert not svg.exists()
+
     def test_invariants_rejects_tampered_file(self, tmp_path, capsys):
         doc = chain_to_document(chain_at_phase(G4, 0.3))
         doc["circles"][0]["x"] += 0.05

@@ -136,6 +136,18 @@ class TestCommandImports:
         assert modules == sorted({*BASE, *loaded})
 
 
+def test_gauge_command_does_not_import_json():
+    # the probe reports without json, which it would otherwise load itself
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "from steinerchains.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['gauge', '--n', '3', '--R', '15', '--r', '1'])\n"
+        "print(code, 'json' in sys.modules)"
+    )
+    assert out.split() == ["0", "False"]
+
+
 def load_tracing():
     """bench/tracing.py, loaded by path as the benchmark loads it."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from steinerchains import (
     Gauge,
     InfeasibleGaugeError,
-    OrientedCircle,
-    PlanePoint,
+    Orientation,
     PoristicRange,
     SteinerChain,
     chain_at_phase,
@@ -19,16 +18,21 @@ from steinerchains import (
     chain_residuals,
     concentric_model,
     conjugate_chain,
+    external_tangency_residual,
+    internal_tangency_residual,
     is_valid_chain,
     neighbor_bend_sum,
     neighbor_bends,
     neighbor_radius_sum,
+    parent_circles,
     pedoe_distance,
     poristic_range,
+    tolerance,
     validate_gauge,
     yiu_coefficients,
 )
 from steinerchains.moments import sweep_rows
+from steinerchains.porism import MAX_CHAIN_LENGTH
 
 from conftest import (
     GAUGE_DOMAINS,
@@ -73,6 +77,14 @@ class TestPedoe:
         for build in (lambda n: pedoe_distance(n, 6, 1), lambda n: Gauge(n, 6.0, 1.0, 1.0)):
             with pytest.raises(ValueError, match="chain length n is too large"):
                 build(10**400)
+
+    def test_n_above_the_largest_chain_length(self):
+        assert MAX_CHAIN_LENGTH >= 64
+        assert Gauge.from_radii(MAX_CHAIN_LENGTH, 1e3, 1.0).n == MAX_CHAIN_LENGTH
+        for n in (MAX_CHAIN_LENGTH + 1, 10**8):
+            for build in (lambda: pedoe_distance(n, 6, 1), lambda: Gauge(n, 6.0, 1.0, 1.0)):
+                with pytest.raises(ValueError, match="chain length n is too large"):
+                    build()
 
 
 class TestValidateGauge:
@@ -266,16 +278,110 @@ class TestChainResiduals:
         # max() over residuals keeps a NaN only when it comes first; a NaN
         # at any circle and in either coordinate must still fail the chain
         chain = chain_at_phase(Gauge.from_radii(4, 6.0, 1.0), 0.3)
-        circles = list(chain.circles)
-        c = circles[index]
-        x, y = (math.nan, c.center.y) if field == "x" else (c.center.x, math.nan)
-        circles[index] = OrientedCircle(PlanePoint(x, y), c.radius)
-        bad = SteinerChain(chain.gauge, chain.phase, tuple(circles))
+        rows = list(chain.rows)
+        x, y, rho = rows[index]
+        rows[index] = (math.nan, y, rho) if field == "x" else (x, math.nan, rho)
+        bad = SteinerChain(chain.gauge, chain.phase, tuple(rows))
         res = chain_residuals(bad)
         assert math.isnan(res.max())
         assert not res.ok
         assert not is_valid_chain(bad)
         assert is_valid_chain(chain)
+
+
+def per_pair_residuals(chain):
+    """(adjacent, inner, outer, range_excess) from one geometry call per
+    circle pair, each the largest residual of its kind or NaN if any is."""
+    inner, outer = parent_circles(chain.gauge)
+    rng = chain.gauge.extremes
+    cs = chain.circles
+    n = len(cs)
+    columns = (
+        [external_tangency_residual(cs[i], cs[(i + 1) % n]) for i in range(n)],
+        [external_tangency_residual(c, inner) for c in cs],
+        [internal_tangency_residual(outer, c) for c in cs],
+        [max(rng.r_min - c.radius, c.radius - rng.r_max, 0.0) for c in cs],
+    )
+    return tuple(math.nan if any(map(math.isnan, col)) else max(col) for col in columns)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestColumnWiseResiduals:
+    """chain_residuals against the per-pair geometry functions, bit for bit."""
+
+    @staticmethod
+    def chains():
+        for n in range(3, 65):
+            boundary = closure_ratio(n)
+            ratios = [boundary * (1 + 1e-9), boundary * 1.5, 1e3, 1e6, 1e9, 1e12]
+            for ratio in ratios:
+                g = Gauge.from_radii(n, ratio, 1.0)
+                for frac in (0.0, 0.37):
+                    yield chain_at_phase(g, frac * 2 * math.pi / n)
+
+    def test_matches_per_pair_reference(self):
+        count = 0
+        for chain in self.chains():
+            res = chain_residuals(chain)
+            assert (res.adjacent, res.inner, res.outer, res.range_excess) == per_pair_residuals(chain)
+            assert res.limit == tolerance() * chain.gauge.R
+            count += 1
+        assert count == 62 * 6 * 2
+
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    def test_nan_coordinate_matches_and_fails(self, n, coordinate):
+        chain = chain_at_phase(Gauge.from_radii(n, 1e3, 1.0), 0.2)
+        for index in (0, n // 2, n - 1):
+            rows = [list(row) for row in chain.rows]
+            rows[index][coordinate] = math.nan
+            bad = SteinerChain(chain.gauge, chain.phase, tuple(map(tuple, rows)))
+            res = chain_residuals(bad)
+            got = (res.adjacent, res.inner, res.outer, res.range_excess)
+            assert all(map(same_bits, got, per_pair_residuals(bad)))
+            assert not res.ok
+
+    @pytest.mark.parametrize("excess", [0.0, 0.5])
+    def test_radius_not_below_R_raises(self, excess):
+        chain = chain_at_phase(G4, 0.2)
+        rows = list(chain.rows)
+        x, y, _ = rows[1]
+        rows[1] = (x, y, G4.R + excess)
+        bad = SteinerChain(chain.gauge, chain.phase, tuple(rows))
+        for residuals in (chain_residuals, per_pair_residuals):
+            with pytest.raises(ValueError, match="outer.radius > inner.radius"):
+                residuals(bad)
+
+
+class TestChainRows:
+    def test_circles_built_once_from_rows(self):
+        chain = chain_at_phase(G3, 0.4)
+        circles = chain.circles
+        assert chain.circles is circles
+        assert len(circles) == len(chain.rows) == 3
+        for c, (x, y, rho) in zip(circles, chain.rows, strict=True):
+            assert (c.center.x, c.center.y, c.radius) == (x, y, rho)
+            assert c.orientation is Orientation.CHAIN_OR_INNER
+        assert chain.radii == tuple(rho for _, _, rho in chain.rows)
+        assert chain.bends == tuple(c.bend for c in circles)
+        assert chain.centers == tuple(c.center.as_complex() for c in circles)
+
+    def test_circles_left_out_of_eq_hash_and_repr(self):
+        read, unread = chain_at_phase(G4, 0.3), chain_at_phase(G4, 0.3)
+        read.circles
+        assert read == unread and hash(read) == hash(unread)
+        assert repr(read) == repr(unread)
+        assert "circles" not in repr(read)
+
+    def test_pickle_keeps_rows(self):
+        chain = chain_at_phase(G4, 0.3)
+        for _ in range(2):  # before and after circles is read
+            back = pickle.loads(pickle.dumps(chain))
+            assert back == chain and back.circles == chain.circles
+            chain.circles
 
 
 class TestClosedFormAccuracy:
@@ -471,3 +577,6 @@ class TestConjugateChain:
         for a, b in zip(back.circles, chain.circles):
             assert a.center.x == b.center.x and a.center.y == b.center.y
             assert a.radius == b.radius
+        axial = chain_at_phase(G4, 0.0)  # its first circle has y = 0.0
+        for c in (chain, axial):
+            assert repr(conjugate_chain(conjugate_chain(c)).rows) == repr(c.rows)
