@@ -44,11 +44,13 @@ def document_to_chain(doc: dict) -> SteinerChain:
     """Rebuild a chain from its document form, revalidating its tangencies."""
     try:
         gauge = doc["gauge"]
-        n = int(gauge["n"])
+        n = gauge["n"]
         head = (float(gauge["R"]), float(gauge["r"]), float(gauge["d"]), float(doc["phase"]))
         rows = [(float(c["x"]), float(c["y"]), float(c["radius"])) for c in doc["circles"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed chain document: {exc}") from exc
+    if type(n) is not int:  # a JSON integer: not a float, string or bool
+        raise ValueError(f"chain document: gauge.n must be an integer, got {n!r}")
     numbers = [*head, *itertools.chain.from_iterable(rows)]
     require_finite("non-finite number in chain document", numbers, _document_field)
     R, r, d, phase = head

@@ -3,9 +3,9 @@
 Paper mode follows the published moment algorithm: recover candidate parent
 curvatures from the first two bend moments, check the radii against the
 candidate family's radius range, and test the cubic relation between the
-first three moments. Moments are blind to the ordering of the quadruple, so
-a constructive mode additionally checks that each position's two neighbors
-carry exactly the bends the neighbor quadratic dictates.
+first three moments, which holds when some pairing of opposite bends has
+equal sums. A 4-chain's bends are b_k = s - u cos(theta + pi k/2), so
+constructive mode additionally requires b0 + b2 = b1 + b3.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .config import tolerance
 from .moments import third_moment_relation_residual
-from .porism import Gauge, neighbor_bends, radius_window
+from .porism import Gauge, _radius_window
+from .porism import neighbor_bends  # noqa: F401  (a binding bench/tracing.py wraps)
 
 Quadruple = tuple[float, float, float, float]
 
@@ -61,6 +62,10 @@ def virtual_gauge(I1: float, I2: float) -> VirtualGaugeResult:
     d^2 = R^2 - 6 R r + r^2; roundoff-sized negatives clamp to zero so that
     concentric candidates survive.
     """
+    return _virtual_gauge(I1, I2, tolerance())
+
+
+def _virtual_gauge(I1: float, I2: float, tol: float) -> VirtualGaugeResult:
     disc = I1 * I1 - 2.0 * I2
     if disc < 0.0:
         return VirtualGaugeResult(None, None, "no real curvature pair (I1^2 < 2 I2)")
@@ -74,7 +79,7 @@ def virtual_gauge(I1: float, I2: float) -> VirtualGaugeResult:
     r = 1.0 / a
     R = -1.0 / A
     radicand = R * R - 6.0 * R * r + r * r
-    if abs(radicand) <= tolerance() * max(1.0, R * R):
+    if abs(radicand) <= tol * max(1.0, R * R):
         radicand = 0.0  # concentric candidate up to roundoff
     if radicand < 0.0:
         return VirtualGaugeResult(
@@ -87,6 +92,9 @@ def virtual_gauge(I1: float, I2: float) -> VirtualGaugeResult:
 
 @dataclass(frozen=True, slots=True)
 class FeasibilityReport:
+    """adjacency_check is constructive mode's ordering verdict, set once the range
+    check passes: at n = 4 it is one equation, b0 + b2 = b1 + b3, so all four agree."""
+
     radii: Quadruple
     mode: str
     actual_moments: tuple[float, float, float]
@@ -103,16 +111,17 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
     """Decide whether an ordered quadruple occurs as the radii of a 4-chain.
 
     mode "paper" runs the moment algorithm only (order-blind); mode
-    "constructive" additionally verifies ordered adjacency through the
-    neighbor quadratic, which distinguishes permutations of one multiset.
+    "constructive" additionally requires opposite bends to have equal sums,
+    which distinguishes permutations of one multiset.
     """
     if mode not in ("paper", "constructive"):
         raise ValueError("mode must be 'paper' or 'constructive'")
+    tol = tolerance()
     quad: Quadruple = tuple(float(v) for v in radii)
     I1, I2, I3 = actual_moments(quad)
     reasons: list[str] = []
 
-    vg = virtual_gauge(I1, I2)
+    vg = _virtual_gauge(I1, I2, tol)
     if not vg.ok:
         reasons.append(vg.failure or "virtual gauge recovery failed")
 
@@ -127,31 +136,21 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
     if vg.ok:
         assert vg.gauge is not None
         gauge = Gauge(4, *vg.gauge)
-        rng, range_check = radius_window(gauge, quad)
+        rng, range_check = _radius_window(gauge, quad, tol)
         if not all(range_check):
             bad = [v for v, ok in zip(quad, range_check) if not ok]
             reasons.append(
                 f"radii {bad} outside the candidate range [{rng.r_min:.6g}, {rng.r_max:.6g}]"
             )
         elif mode == "constructive":
-            bends = [1.0 / v for v in quad]
-            bend_scale = max(abs(b) for b in bends)
-            checks = []
-            for i in range(4):
-                expected = sorted(neighbor_bends(gauge, quad[i]))
-                got = sorted((bends[i - 1], bends[(i + 1) % 4]))
-                checks.append(
-                    all(
-                        abs(e - b) <= RELATION_TOLERANCE * bend_scale
-                        for e, b in zip(expected, got)
-                    )
-                )
-            adjacency_check = tuple(checks)
-            if not all(adjacency_check):
-                bad_pos = [i for i, ok in enumerate(adjacency_check) if not ok]
+            b0, b1, b2, b3 = (1.0 / v for v in quad)
+            ordering_residual = (b0 + b2) - (b1 + b3)
+            limit = RELATION_TOLERANCE * max(b0, b1, b2, b3)
+            adjacency_check = (abs(ordering_residual) <= limit,) * 4
+            if not adjacency_check[0]:
                 reasons.append(
-                    f"neighbor bends at positions {bad_pos} do not solve the "
-                    "neighbor quadratic (ordering is not realizable)"
+                    f"opposite bend sums differ by {ordering_residual:.6g}, beyond "
+                    f"{limit:.6g} ({RELATION_TOLERANCE:g} x the largest bend): ordering is not realizable"
                 )
 
     return FeasibilityReport(

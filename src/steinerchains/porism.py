@@ -159,17 +159,15 @@ def poristic_range(g: Gauge) -> PoristicRange:
     return g.extremes
 
 
-def _window(g: Gauge) -> tuple[PoristicRange, float, float]:
-    """The family's radius range and its ends widened by tolerance() * R."""
-    rng = g.extremes
-    margin = tolerance() * g.R
-    return rng, rng.r_min - margin, rng.r_max + margin
-
-
 def radius_window(g: Gauge, radii: Iterable[float]) -> tuple[PoristicRange, tuple[bool, ...]]:
     """The family's radius range and, for each radius, whether it lies in
     [r_min, r_max] widened at both ends by tolerance() * R."""
-    rng, lo, hi = _window(g)
+    return _radius_window(g, radii, tolerance())
+
+
+def _radius_window(g: Gauge, radii: Iterable[float], tol: float) -> tuple[PoristicRange, tuple[bool, ...]]:
+    rng, margin = g.extremes, tol * g.R
+    lo, hi = rng.r_min - margin, rng.r_max + margin
     return rng, tuple([lo <= u <= hi for u in radii])  # a list builds faster than a generator
 
 
@@ -389,8 +387,8 @@ class YiuCoefficients:
 def _neighbor_quadratic(g: Gauge, u: float) -> tuple[PoristicRange, float, float, float]:
     """The range u was checked against and (alpha, beta, gamma) of the
     neighbor quadratic at u; ValueError if u lies outside radius_window."""
-    rng, lo, hi = _window(g)
-    if not lo <= u <= hi:
+    rng, (inside,) = radius_window(g, (u,))
+    if not inside:
         raise ValueError(
             f"radius u={u} outside the admissible range [{rng.r_min}, {rng.r_max}]"
         )

@@ -83,6 +83,13 @@ class TestChainDocuments:
         with pytest.raises(ValueError, match=rf"chain document: circles\[{index}\]\.{field}$"):
             document_to_chain(doc)
 
+    @pytest.mark.parametrize("n", [4.7, "4", True, 4.0])
+    def test_chain_length_must_be_a_json_integer(self, n):
+        doc = chain_to_document(chain_at_phase(G4, 0.3))
+        doc["gauge"]["n"] = n
+        with pytest.raises(ValueError, match=rf"gauge\.n must be an integer, got {re.escape(repr(n))}$"):
+            document_to_chain(json.loads(json.dumps(doc)))
+
     def test_circle_count_must_match_order(self):
         doc = chain_to_document(chain_at_phase(G4, 0.3))
         doc["circles"].pop()
@@ -391,6 +398,19 @@ class TestCliCommands:
     def test_non_finite_radii_are_invalid_input(self, capsys, radii):
         assert main(["feasible", "--radii", radii]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4.7, "4", True, 4.0])
+    @pytest.mark.parametrize("command", ["invariants", "render"])
+    def test_non_integer_document_chain_length_is_invalid_input(self, tmp_path, capsys, command, n):
+        doc = chain_to_document(chain_at_phase(G4, 0.3))
+        doc["gauge"]["n"] = n
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(doc))
+        svg = tmp_path / "c.svg"
+        argv = [command, "--chain", str(path)] + (["--svg", str(svg)] if command == "render" else [])
+        assert main(argv) == 2
+        assert "gauge.n must be an integer" in capsys.readouterr().err
+        assert not svg.exists()
 
     @pytest.mark.parametrize("command", ["invariants", "render"])
     def test_non_finite_document_is_invalid_input(self, tmp_path, capsys, command):

@@ -13,9 +13,9 @@ from steinerchains import (
     feasibility_check,
     virtual_gauge,
 )
-from steinerchains import porism
+from steinerchains import config, feasibility, porism
 
-from conftest import gauge_strategy
+from conftest import closure_ratio, gauge_strategy
 
 
 class TestActualMoments:
@@ -122,11 +122,11 @@ class TestFeasibilityCheck:
         assert paper.feasible
         constructive = feasibility_check((2.0, 3.0, 2.4, 2.4), mode="constructive")
         assert not constructive.feasible
-        # the u = 3 position demands the double root 5/12 twice, but one of
-        # its claimed neighbors has bend 1/2
+        # opposite bends sum to 1/2 + 5/12 and 1/3 + 5/12, which differ by 1/6
         assert constructive.adjacency_check is not None
         assert not constructive.adjacency_check[1]
         assert any("ordering" in reason for reason in constructive.reasons)
+        assert "opposite bend sums differ by 0.166667, beyond 5e-07" in constructive.reasons[0]
 
     @pytest.mark.parametrize("mode", ["paper", "constructive"])
     def test_one_radius_range_per_check(self, mode, monkeypatch):
@@ -142,6 +142,22 @@ class TestFeasibilityCheck:
         monkeypatch.setattr(porism, "PoristicRange", CountingRange)
         assert feasibility_check((2.0, 2.4, 3.0, 2.4), mode).feasible
         assert len(built) == 1
+
+    @pytest.mark.parametrize("mode", ["paper", "constructive"])
+    @pytest.mark.parametrize(
+        "quad", [(2.0, 2.4, 3.0, 2.4), (2.0, 3.0, 2.4, 2.4), (1.0, 2.0, 3.0, 4.0), (1.0, 1.0, 1.0, 4.0)]
+    )
+    def test_one_tolerance_read_per_check(self, mode, quad, monkeypatch):
+        reads = []
+
+        def counting_tolerance():
+            reads.append(None)
+            return config.DEFAULT_TOLERANCE
+
+        for module in (config, feasibility, porism):
+            monkeypatch.setattr(module, "tolerance", counting_tolerance)
+        feasibility_check(quad, mode)
+        assert len(reads) == 1
 
     def test_unit_radii_feasible(self):
         # four unit circles close around the concentric candidate parents
@@ -219,3 +235,89 @@ class TestFeasibilityCheck:
             feasibility_check((2.0, 2.4, 3.0, 2.4), mode="constructive").mode
             == "constructive"
         )
+
+
+def _generic_chains(count: int, seed: int):
+    """(gauge, radii) of chain_at_phase at random phases, R/r log-uniform from
+    just above the n = 4 closure boundary 3 + 2 sqrt(2) up to 1e4; phases
+    where two radii agree to 1e-4 are drawn again, so that no swap of two
+    radii is a rotation or reflection of the chain."""
+    rng = random.Random(seed)
+    lo, hi = math.log(closure_ratio(4) * (1.0 + 1e-3)), math.log(1e4)
+    chains = []
+    while len(chains) < count:
+        u = {0: 0.0, 1: 1.0}.get(len(chains), rng.random())  # both ends, then random
+        g = Gauge.from_radii(4, math.exp(lo + u * (hi - lo)), 1.0)
+        radii = chain_at_phase(g, rng.uniform(0.0, 2.0 * math.pi)).radii
+        bends = sorted(1.0 / v for v in radii)
+        if min(b - a for a, b in zip(bends, bends[1:])) > 1e-4 * bends[-1]:
+            chains.append((g, radii))
+    return chains
+
+
+def _dihedral(quad):
+    rotations = [quad[k:] + quad[:k] for k in range(4)]
+    return rotations + [tuple(reversed(q)) for q in rotations]
+
+
+class TestOrderingTest:
+    """Constructive mode decides the ordering by b0 + b2 = b1 + b3."""
+
+    CHAINS = _generic_chains(60, 20261019)
+
+    def test_cubic_relation_factors_into_the_three_pairings(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            b0, b1, b2, b3 = (Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(4))
+            I1 = b0 + b1 + b2 + b3
+            I2 = b0**2 + b1**2 + b2**2 + b3**2
+            I3 = b0**3 + b1**3 + b2**3 + b3**3
+            pairings = (b0 + b1 - b2 - b3) * (b0 + b2 - b1 - b3) * (b0 + b3 - b1 - b2)
+            assert I3 - (Fraction(3, 4) * I1 * I2 - Fraction(1, 8) * I1**3) == Fraction(3, 8) * pairings
+
+    def test_every_dihedral_arrangement_passes(self):
+        for g, radii in self.CHAINS:
+            for quad in _dihedral(radii):
+                report = feasibility_check(quad, mode="constructive")
+                assert report.feasible, (g, quad, report.reasons)
+                assert report.adjacency_check == (True, True, True, True)
+
+    def test_every_adjacent_swap_fails(self):
+        for g, radii in self.CHAINS:
+            for i in range(4):
+                quad = list(radii)
+                quad[i], quad[(i + 1) % 4] = quad[(i + 1) % 4], quad[i]
+                report = feasibility_check(tuple(quad), mode="constructive")
+                assert not report.feasible, (g, quad)
+                assert feasibility_check(tuple(quad), mode="paper").feasible, (g, quad)
+                assert report.adjacency_check == (False, False, False, False)
+                assert any("ordering" in reason for reason in report.reasons)
+
+    def test_one_radius_moved_by_ten_thresholds_fails(self):
+        # moving radius k by the factor (1 + e) moves its bend by about
+        # e * b_k, so e = 10 * 1e-6 * b_max / b_k misses by ten thresholds
+        tol = feasibility.RELATION_TOLERANCE
+        for g, radii in self.CHAINS:
+            b_max = max(1.0 / v for v in radii)
+            for k in range(4):
+                e = 10.0 * tol * b_max * radii[k]
+                for sign in (1.0, -1.0):
+                    quad = list(radii)
+                    quad[k] *= 1.0 + sign * e
+                    report = feasibility_check(tuple(quad), mode="constructive")
+                    assert not report.feasible, (g, quad)
+                    assert report.adjacency_check == (False,) * 4, (g, quad)
+
+    def test_verdict_is_scale_invariant(self):
+        # scaling by 2^k is exact and scales every bend by 2^-k. Scales stop
+        # at 2^-8: virtual_gauge's concentric clamp, tol * max(1, R^2), is
+        # absolute for R < 1 and zeroes d of small near-concentric candidates
+        for g, radii in self.CHAINS[:20]:
+            swapped = (radii[1], radii[0]) + radii[2:]
+            nudged = (radii[0] * (1.0 + 3e-6),) + radii[1:]
+            for quad in (radii, swapped, nudged):
+                verdicts = {
+                    feasibility_check(tuple(v * 2.0**k for v in quad), mode="constructive").feasible
+                    for k in range(-8, 21)
+                }
+                assert len(verdicts) == 1, (g, quad)
