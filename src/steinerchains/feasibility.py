@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .config import tolerance
 from .moments import third_moment_relation_residual
-from .porism import Gauge, _radius_window
+from .porism import _poristic_range, _window
 from .porism import neighbor_bends  # noqa: F401  (a binding bench/tracing.py wraps)
 
 Quadruple = tuple[float, float, float, float]
@@ -24,17 +24,25 @@ RELATION_TOLERANCE = 1e-6  # relative to I3 = sum b^3 > 0; inputs may be decimal
 
 
 def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
-    """First three power sums of the reciprocal radii."""
+    """First three power sums of the reciprocal radii, each added left to right.
+
+    ValueError unless every radius is positive and finite, and when the third
+    power sum overflows (a radius below about 1.8e-103).
+    """
     if len(radii) != 4:
         raise ValueError("expected exactly four radii")
-    if any(not (v > 0.0) or not math.isfinite(v) for v in radii):
+    r0, r1, r2, r3 = radii
+    # 0 < v < inf is false for NaN, zeros, negatives and infinities alike
+    if not (0.0 < r0 < math.inf and 0.0 < r1 < math.inf and 0.0 < r2 < math.inf and 0.0 < r3 < math.inf):
         raise ValueError(f"radii must be positive finite numbers, got {radii}")
-    bends = [1.0 / v for v in radii]
-    return (
-        sum(bends),
-        sum(b * b for b in bends),
-        sum(b**3 for b in bends),
-    )
+    b0, b1, b2, b3 = 1.0 / r0, 1.0 / r1, 1.0 / r2, 1.0 / r3
+    try:
+        I3 = b0**3 + b1**3 + b2**3 + b3**3  # b * b * b rounds differently
+    except OverflowError:
+        I3 = math.inf
+    if I3 == math.inf:
+        raise ValueError(f"third moment I3 = sum 1/radius^3 overflows for radii {radii}")
+    return (b0 + b1 + b2 + b3, b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3, I3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,35 +67,31 @@ def virtual_gauge(I1: float, I2: float) -> VirtualGaugeResult:
 
     The two roots are I1/4 +- sqrt(I1^2 - 2 I2)/2 and must straddle zero.
     The candidate center distance comes from the order-4 closure relation
-    d^2 = R^2 - 6 R r + r^2; roundoff-sized negatives clamp to zero so that
-    concentric candidates survive.
+    d^2 = R^2 - 6 R r + r^2; a radicand within tolerance() * R^2 of zero
+    clamps to zero so that concentric candidates survive at every scale.
     """
-    return _virtual_gauge(I1, I2, tolerance())
+    return VirtualGaugeResult(*_candidate(I1, I2, tolerance()))
 
 
-def _virtual_gauge(I1: float, I2: float, tol: float) -> VirtualGaugeResult:
+def _candidate(
+    I1: float, I2: float, tol: float
+) -> tuple[tuple[float, float] | None, tuple[float, float, float] | None, str | None]:
+    """The (curvatures, gauge, failure) fields of virtual_gauge's result."""
     disc = I1 * I1 - 2.0 * I2
     if disc < 0.0:
-        return VirtualGaugeResult(None, None, "no real curvature pair (I1^2 < 2 I2)")
-    half = math.sqrt(disc) / 2.0
-    a = I1 / 4.0 + half
+        return None, None, "no real curvature pair (I1^2 < 2 I2)"
+    a = I1 / 4.0 + math.sqrt(disc) / 2.0
     A = I1 / 2.0 - a
     if not (a > 0.0 > A):
-        return VirtualGaugeResult(
-            (a, A), None, f"curvature roots ({a:.6g}, {A:.6g}) do not straddle zero"
-        )
+        return (a, A), None, f"curvature roots ({a:.6g}, {A:.6g}) do not straddle zero"
     r = 1.0 / a
     R = -1.0 / A
     radicand = R * R - 6.0 * R * r + r * r
-    if abs(radicand) <= tol * max(1.0, R * R):
+    if abs(radicand) <= tol * (R * R):
         radicand = 0.0  # concentric candidate up to roundoff
     if radicand < 0.0:
-        return VirtualGaugeResult(
-            (a, A),
-            None,
-            f"candidate parents (R={R:.6g}, r={r:.6g}) close no 4-chain",
-        )
-    return VirtualGaugeResult((a, A), (R, r, math.sqrt(radicand)), None)
+        return (a, A), None, f"candidate parents (R={R:.6g}, r={r:.6g}) close no 4-chain"
+    return (a, A), (R, r, math.sqrt(radicand)), None
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,15 +121,18 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
     if mode not in ("paper", "constructive"):
         raise ValueError("mode must be 'paper' or 'constructive'")
     tol = tolerance()
-    quad: Quadruple = tuple(float(v) for v in radii)
-    I1, I2, I3 = actual_moments(quad)
-    reasons: list[str] = []
+    quad: Quadruple = tuple(map(float, radii))
+    moments = actual_moments(quad)
+    I1, I2, I3 = moments
+    curvatures, gauge, failure = _candidate(I1, I2, tol)
+    reasons = [] if gauge else [failure]
 
-    vg = _virtual_gauge(I1, I2, tol)
-    if not vg.ok:
-        reasons.append(vg.failure or "virtual gauge recovery failed")
-
-    relation_residual = third_moment_relation_residual(I1, I2, I3)
+    try:
+        relation_residual = third_moment_relation_residual(I1, I2, I3)
+    except OverflowError:
+        raise ValueError(
+            f"third-moment relation overflows: I1^3 with I1 = {I1:.6g} for radii {quad}"
+        ) from None
     if abs(relation_residual) > RELATION_TOLERANCE * abs(I3):
         reasons.append(
             f"third-moment relation violated (residual {relation_residual:.6g})"
@@ -133,17 +140,18 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
 
     range_check = None
     adjacency_check = None
-    if vg.ok:
-        assert vg.gauge is not None
-        gauge = Gauge(4, *vg.gauge)
-        rng, range_check = _radius_window(gauge, quad, tol)
-        if not all(range_check):
+    if gauge:
+        # no Gauge: the window needs no q, and the recovered pair has R/r >= 3
+        # up to rounding, so Gauge's R > r > 0 check cannot fail
+        rng, range_check = _window(_poristic_range(*gauge), gauge[0], quad, tol)
+        if False in range_check:
             bad = [v for v, ok in zip(quad, range_check) if not ok]
             reasons.append(
                 f"radii {bad} outside the candidate range [{rng.r_min:.6g}, {rng.r_max:.6g}]"
             )
         elif mode == "constructive":
-            b0, b1, b2, b3 = (1.0 / v for v in quad)
+            r0, r1, r2, r3 = quad
+            b0, b1, b2, b3 = 1.0 / r0, 1.0 / r1, 1.0 / r2, 1.0 / r3
             ordering_residual = (b0 + b2) - (b1 + b3)
             limit = RELATION_TOLERANCE * max(b0, b1, b2, b3)
             adjacency_check = (abs(ordering_residual) <= limit,) * 4
@@ -154,14 +162,6 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
                 )
 
     return FeasibilityReport(
-        radii=quad,
-        mode=mode,
-        actual_moments=(I1, I2, I3),
-        virtual_curvatures=vg.curvatures,
-        virtual_gauge=vg.gauge,
-        range_check=range_check,
-        relation_residual=relation_residual,
-        adjacency_check=adjacency_check,
-        feasible=not reasons,
-        reasons=tuple(reasons),
+        quad, mode, moments, curvatures, gauge, range_check, relation_residual, adjacency_check,
+        not reasons, tuple(reasons),
     )

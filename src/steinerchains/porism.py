@@ -45,7 +45,10 @@ class ChainPropagationError(ValueError):
 
 
 def _closure_q(n: int) -> float:
-    """tan^2(pi/n), after checking that 3 <= n <= MAX_CHAIN_LENGTH."""
+    """tan^2(pi/n), after checking that n is an int (not a bool) with
+    3 <= n <= MAX_CHAIN_LENGTH."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"chain length n must be an integer, got {n!r}")
     if n < 3:
         raise ValueError("chain length n must be at least 3")
     if n > MAX_CHAIN_LENGTH:
@@ -87,6 +90,17 @@ class PoristicRange:
     b_max: float  # bend of the smallest circle, 2/(R - d - r)
 
 
+def _poristic_range(R: float, r: float, d: float) -> PoristicRange:
+    """The radius range of the parents (R, r, d); ValueError unless d >= 0."""
+    if not d >= 0.0:
+        raise ValueError("center distance d must be non-negative")
+    r_min = (R - d - r) / 2.0
+    r_max = (R + d - r) / 2.0
+    b_min = 1.0 / r_max if r_max else math.inf
+    b_max = 1.0 / r_min if r_min else math.inf
+    return PoristicRange(r_min, r_max, b_min, b_max)
+
+
 @dataclass(frozen=True, slots=True)
 class Gauge:
     """Parent-circle datum of a poristic family. q = tan^2(pi/n) and the
@@ -103,13 +117,7 @@ class Gauge:
         object.__setattr__(self, "q", _closure_q(self.n))
         if not (self.R > self.r > 0.0):
             raise ValueError("radii must satisfy R > r > 0")
-        if not self.d >= 0.0:
-            raise ValueError("center distance d must be non-negative")
-        r_min = (self.R - self.d - self.r) / 2.0
-        r_max = (self.R + self.d - self.r) / 2.0
-        b_min = 1.0 / r_max if r_max else math.inf
-        b_max = 1.0 / r_min if r_min else math.inf
-        object.__setattr__(self, "extremes", PoristicRange(r_min, r_max, b_min, b_max))
+        object.__setattr__(self, "extremes", _poristic_range(self.R, self.r, self.d))
 
     @property
     def inner_bend(self) -> float:
@@ -162,11 +170,13 @@ def poristic_range(g: Gauge) -> PoristicRange:
 def radius_window(g: Gauge, radii: Iterable[float]) -> tuple[PoristicRange, tuple[bool, ...]]:
     """The family's radius range and, for each radius, whether it lies in
     [r_min, r_max] widened at both ends by tolerance() * R."""
-    return _radius_window(g, radii, tolerance())
+    return _window(g.extremes, g.R, radii, tolerance())
 
 
-def _radius_window(g: Gauge, radii: Iterable[float], tol: float) -> tuple[PoristicRange, tuple[bool, ...]]:
-    rng, margin = g.extremes, tol * g.R
+def _window(
+    rng: PoristicRange, R: float, radii: Iterable[float], tol: float
+) -> tuple[PoristicRange, tuple[bool, ...]]:
+    margin = tol * R
     lo, hi = rng.r_min - margin, rng.r_max + margin
     return rng, tuple([lo <= u <= hi for u in radii])  # a list builds faster than a generator
 

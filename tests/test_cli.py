@@ -360,6 +360,17 @@ class TestCliCommands:
     def test_feasible_bad_radii_count(self, capsys):
         assert main(["feasible", "--radii", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize(
+        "radii, moment",
+        [
+            ("1e-110,2e-110,3e-110,4e-110", "third moment I3"),
+            ("5e-103,5e-103,5e-103,5e-103", "third-moment relation"),
+        ],
+    )
+    def test_feasible_overflowing_moment_is_invalid_input(self, capsys, radii, moment):
+        assert main(["feasible", "--radii", radii]) == 2
+        assert f"error: {moment}" in capsys.readouterr().err
+
     def test_render_roundtrip(self, tmp_path, capsys):
         chain_path = tmp_path / "c.json"
         save_chain(chain_at_phase(G3, 0.0), chain_path)

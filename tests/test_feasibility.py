@@ -309,15 +309,204 @@ class TestOrderingTest:
                     assert report.adjacency_check == (False,) * 4, (g, quad)
 
     def test_verdict_is_scale_invariant(self):
-        # scaling by 2^k is exact and scales every bend by 2^-k. Scales stop
-        # at 2^-8: virtual_gauge's concentric clamp, tol * max(1, R^2), is
-        # absolute for R < 1 and zeroes d of small near-concentric candidates
+        # scaling by 2^k is exact and scales every bend by 2^-k; the concentric
+        # clamp, tol * R^2, scales with the candidate's R^2, so the candidate
+        # range of a chain scaled down to R ~ 1e-9 is still its own
         for g, radii in self.CHAINS[:20]:
             swapped = (radii[1], radii[0]) + radii[2:]
             nudged = (radii[0] * (1.0 + 3e-6),) + radii[1:]
             for quad in (radii, swapped, nudged):
                 verdicts = {
                     feasibility_check(tuple(v * 2.0**k for v in quad), mode="constructive").feasible
-                    for k in range(-8, 21)
+                    for k in range(-30, 21)
                 }
                 assert len(verdicts) == 1, (g, quad)
+
+
+class TestTinyRadii:
+    """Radii so small that a moment overflows are invalid input (ValueError),
+    not an OverflowError from deep inside the check."""
+
+    @pytest.mark.parametrize("quad", [(1e-110, 2e-110, 3e-110, 4e-110), (1e-310, 1.0, 1.0, 1.0)])
+    def test_overflowing_third_moment(self, quad):
+        # b^3 overflows for radii below about 1.8e-103; a bend past the float
+        # range (radius below about 5.6e-309) is inf and makes I3 inf
+        with pytest.raises(ValueError, match=r"third moment I3 = sum 1/radius\^3 overflows"):
+            actual_moments(quad)
+        for mode in ("paper", "constructive"):
+            with pytest.raises(ValueError, match=r"third moment I3 = sum 1/radius\^3 overflows"):
+                feasibility_check(quad, mode)
+
+    def test_overflowing_relation(self):
+        # I3 is finite, but the relation's I1^3 = (8e102)^3 is not
+        quad = (5e-103,) * 4
+        assert math.isfinite(actual_moments(quad)[2])
+        for mode in ("paper", "constructive"):
+            with pytest.raises(ValueError, match=r"third-moment relation overflows: I1\^3 with I1 = 8e\+102"):
+                feasibility_check(quad, mode)
+
+    def test_smallest_decided_scale(self):
+        # 2^-330 is about 4.6e-100: every moment and the relation stay finite
+        for g, radii in TestOrderingTest.CHAINS[:5]:
+            quad = tuple(v * 2.0**-330 for v in radii)
+            for mode in ("paper", "constructive"):
+                assert feasibility_check(quad, mode).feasible, (g, mode)
+
+
+def _in_order(terms):
+    """Add left to right from 0, as sum() added floats before Python 3.12."""
+    total = 0
+    for t in terms:
+        total += t
+    return total
+
+
+def _reference_check(radii, mode):
+    """feasibility_check as it was written before its straight-line rewrite:
+    moments as generator sums, a Gauge built per check for the radius window,
+    and a report built by keyword. The concentric clamp is the scale-relative
+    tol * R^2 of the current code."""
+    if mode not in ("paper", "constructive"):
+        raise ValueError("mode must be 'paper' or 'constructive'")
+    quad = tuple(float(v) for v in radii)
+    if len(quad) != 4:
+        raise ValueError("expected exactly four radii")
+    if any(not (v > 0.0) or not math.isfinite(v) for v in quad):
+        raise ValueError(f"radii must be positive finite numbers, got {quad}")
+    bends = [1.0 / v for v in quad]
+    I1 = _in_order(bends)
+    I2 = _in_order(b * b for b in bends)
+    I3 = _in_order(b**3 for b in bends)
+    reasons = []
+    curvatures = gauge = None
+    disc = I1 * I1 - 2.0 * I2
+    if disc < 0.0:
+        reasons.append("no real curvature pair (I1^2 < 2 I2)")
+    else:
+        half = math.sqrt(disc) / 2.0
+        a = I1 / 4.0 + half
+        A = I1 / 2.0 - a
+        curvatures = (a, A)
+        if not (a > 0.0 > A):
+            reasons.append(f"curvature roots ({a:.6g}, {A:.6g}) do not straddle zero")
+        else:
+            r = 1.0 / a
+            R = -1.0 / A
+            radicand = R * R - 6.0 * R * r + r * r
+            if abs(radicand) <= config.tolerance() * (R * R):
+                radicand = 0.0
+            if radicand < 0.0:
+                reasons.append(f"candidate parents (R={R:.6g}, r={r:.6g}) close no 4-chain")
+            else:
+                gauge = (R, r, math.sqrt(radicand))
+    residual = I3 - (0.75 * I1 * I2 - 0.125 * I1**3)
+    if abs(residual) > feasibility.RELATION_TOLERANCE * abs(I3):
+        reasons.append(f"third-moment relation violated (residual {residual:.6g})")
+    range_check = adjacency_check = None
+    if gauge is not None:
+        rng, range_check = porism.radius_window(Gauge(4, *gauge), quad)
+        if not all(range_check):
+            bad = [v for v, ok in zip(quad, range_check) if not ok]
+            reasons.append(f"radii {bad} outside the candidate range [{rng.r_min:.6g}, {rng.r_max:.6g}]")
+        elif mode == "constructive":
+            b0, b1, b2, b3 = bends
+            ordering_residual = (b0 + b2) - (b1 + b3)
+            limit = feasibility.RELATION_TOLERANCE * max(bends)
+            adjacency_check = (abs(ordering_residual) <= limit,) * 4
+            if not adjacency_check[0]:
+                reasons.append(
+                    f"opposite bend sums differ by {ordering_residual:.6g}, beyond "
+                    f"{limit:.6g} (1e-06 x the largest bend): ordering is not realizable"
+                )
+    return feasibility.FeasibilityReport(
+        radii=quad,
+        mode=mode,
+        actual_moments=(I1, I2, I3),
+        virtual_curvatures=curvatures,
+        virtual_gauge=gauge,
+        range_check=range_check,
+        relation_residual=residual,
+        adjacency_check=adjacency_check,
+        feasible=not reasons,
+        reasons=tuple(reasons),
+    )
+
+
+def _reference_quadruples(count: int, seed: int):
+    """Seeded quadruples of six kinds in turn: chain radii in a dihedral
+    arrangement, an adjacent swap, 5-12-digit decimal roundings, one radius
+    moved by 1e-8 to 1e-2 relative, random radii in [e^-3, e^3], and the
+    first of these scaled by 2^k for k from -30 to 20."""
+    rng = random.Random(seed)
+    lo, hi = math.log(closure_ratio(4) * (1.0 + 1e-6)), math.log(1e4)
+
+    def chain():
+        g = Gauge.from_radii(4, math.exp(rng.uniform(lo, hi)), 1.0)
+        return list(chain_at_phase(g, rng.uniform(0.0, 2.0 * math.pi)).radii)
+
+    quads = []
+    while len(quads) < count:
+        kind = len(quads) % 6
+        if kind == 0:
+            quad = rng.choice(_dihedral(tuple(chain())))
+        elif kind == 1:
+            quad = chain()
+            i = rng.randrange(4)
+            quad[i], quad[(i + 1) % 4] = quad[(i + 1) % 4], quad[i]
+        elif kind == 2:
+            digits = rng.randint(5, 12)
+            quad = [float(f"{v:.{digits}g}") for v in chain()]
+        elif kind == 3:
+            quad = chain()
+            quad[rng.randrange(4)] *= 1.0 + rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-8), math.log(1e-2)))
+        elif kind == 4:
+            quad = [math.exp(rng.uniform(-3.0, 3.0)) for _ in range(4)]
+        else:
+            quad = [v * 2.0 ** rng.randint(-30, 20) for v in quads[-5]]
+        quads.append(tuple(quad))
+    return quads
+
+
+class TestReferenceEquality:
+    """feasibility_check gives the reference's report, field for field and
+    in its repr, and raises the reference's exception with its message."""
+
+    QUADS = _reference_quadruples(2000, 20261019)
+
+    @pytest.mark.parametrize("mode", ["paper", "constructive"])
+    def test_reports_match(self, mode):
+        kinds = set()
+        for quad in self.QUADS:
+            report = feasibility_check(quad, mode)
+            expected = _reference_check(quad, mode)
+            assert report == expected, quad
+            assert repr(report) == repr(expected), quad
+            kinds.update(reason.split(" ")[0] for reason in report.reasons)
+            kinds.add(report.feasible)
+        # both verdicts and every failure occur, except "candidate parents ...
+        # close no 4-chain": I2 >= I1^2 / 4 for positive bends puts R/r at or
+        # above the closure ratio 3 + 2 sqrt(2), so only virtual_gauge on
+        # other (I1, I2) reaches it
+        assert kinds >= {True, False, "no", "curvature", "third-moment", "radii"}
+        if mode == "constructive":
+            assert "opposite" in kinds
+
+    @pytest.mark.parametrize("mode", ["paper", "constructive", "unknown"])
+    @pytest.mark.parametrize(
+        "radii",
+        [
+            (math.nan, 1.0, 2.0, 3.0),
+            (1.0, math.inf, 2.0, 3.0),
+            (1.0, 2.0, 0.0, 3.0),
+            (1.0, 2.0, 3.0, -1.0),
+            (1.0, 2.0, 3.0),
+            (1.0, 2.0, 3.0, 4.0, 5.0),
+        ],
+    )
+    def test_errors_match(self, radii, mode):
+        with pytest.raises(ValueError) as raised:
+            feasibility_check(radii, mode)
+        with pytest.raises(ValueError) as expected:
+            _reference_check(radii, mode)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)

@@ -78,6 +78,13 @@ class TestPedoe:
             with pytest.raises(ValueError, match="chain length n is too large"):
                 build(10**400)
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, "4", True])
+    def test_n_that_is_not_an_int(self, n):
+        # refused up front, not a TypeError from range(n) at construction
+        for build in (lambda: pedoe_distance(n, 6, 1), lambda: Gauge(n, 6.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match=f"chain length n must be an integer, got {n!r}"):
+                build()
+
     def test_n_above_the_largest_chain_length(self):
         assert MAX_CHAIN_LENGTH >= 64
         assert Gauge.from_radii(MAX_CHAIN_LENGTH, 1e3, 1.0).n == MAX_CHAIN_LENGTH
