@@ -28,7 +28,7 @@ _EXPORTS = {
     "porism": (
         "ChainPropagationError", "ConcentricModel", "Gauge", "GaugeValidation",
         "InfeasibleGaugeError", "PoristicRange", "SteinerChain", "YiuCoefficients",
-        "chain_at_phase", "chain_by_yiu", "chains_at_phases", "chain_residuals", "concentric_model",
+        "chain_at_phase", "chain_by_yiu", "chain_residuals", "concentric_model",
         "conjugate_chain", "is_valid_chain", "neighbor_bend_sum", "neighbor_bends",
         "neighbor_radius_sum", "parent_circles", "pedoe_distance", "poristic_range",
         "validate_gauge", "yiu_coefficients",

@@ -12,7 +12,7 @@ import functools
 import math
 import sys
 
-from . import _lazy
+from . import _EXPORTS, _lazy
 from .porism import (
     MAX_CHAIN_LENGTH,
     Gauge,
@@ -23,22 +23,10 @@ from .porism import (
     validate_gauge,
 )
 
-# Loaded when a command that calls them first runs (see main); each is then a
-# global of this module, the binding bench/tracing.py wraps.
-__getattr__ = _lazy(
-    globals(),
-    {
-        "document": (
-            "chain_to_document", "load_chain", "render_svg", "require_finite", "save_chain",
-            "write_sweep_csv",
-        ),
-        "feasibility": ("feasibility_check",),
-        "moments": (
-            "InvarianceReport", "moment_set", "bending_moment", "complex_moment", "invariance_sweep",
-        ),
-        "symmetric": ("SymmetricChainKind", "symmetric_chain"),
-    },
-)
+# Each package name loads with its module when a command that calls it first
+# runs (see main); it is then a global of this module, the binding
+# bench/tracing.py wraps.
+__getattr__ = _lazy(globals(), _EXPORTS)
 
 _KINDS = ("axial-max", "axial-min", "axial", "lateral")  # SymmetricChainKind values
 
@@ -157,7 +145,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             f"J{k},{m} = {v.real!r} (imag {v.imag!r})" for (k, m), v in moments.complex_map.items()
         ]
         values += moments.complex_map.values()
-    require_finite("moment overflows the float range", values, lines.__getitem__)
+    document.require_finite("moment overflows the float range", values, lines.__getitem__)
     for line in lines:
         print(line)
     return 0
@@ -193,10 +181,7 @@ def _cmd_symmetric(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasible(args: argparse.Namespace) -> int:
-    parts = args.radii.split(",")
-    if len(parts) != 4:
-        raise ValueError("--radii expects four comma-separated values")
-    quad = tuple(float(v) for v in parts)
+    quad = tuple(float(v) for v in args.radii.split(","))
     report = feasibility_check(quad, mode=args.mode)
     I1, I2, I3 = report.actual_moments
     print(f"radii: {report.radii}")

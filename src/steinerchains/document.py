@@ -78,26 +78,29 @@ def load_chain(path: str | Path) -> SteinerChain:
     return document_to_chain(json.loads(Path(path).read_text()))
 
 
-def _csv_text(n: int, rows: list[list[float]]) -> str:
-    lines = [",".join(sweep_header(n))]
+def _sweep_csv(g: Gauge, samples: int) -> tuple[list[list[float]], str]:
+    """The sweep_rows table and its CSV text: one row per phase, shortest
+    round-trip decimals. A moment that overflowed the float range raises
+    ValueError naming its column."""
+    rows = sweep_rows(g, samples)
+    header = sweep_header(g.n)
+    lines = [",".join(header)]
     for row in rows:
+        require_finite("moment overflows the float range", row, header.__getitem__)
         lines.append(",".join(repr(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return rows, "\n".join(lines) + "\n"
 
 
 def sweep_csv_text(g: Gauge, samples: int) -> str:
-    """Moment sweep as CSV: one row per phase, shortest round-trip decimals."""
-    return _csv_text(g.n, sweep_rows(g, samples))
+    """Moment sweep as CSV text (see _sweep_csv)."""
+    return _sweep_csv(g, samples)[1]
 
 
 def write_sweep_csv(g: Gauge, samples: int, path: str | Path) -> list[list[float]]:
     """Write the moment sweep as CSV and return the sweep_rows table written;
-    a moment that overflowed the float range raises ValueError before any write."""
-    rows = sweep_rows(g, samples)
-    header = sweep_header(g.n)
-    for row in rows:
-        require_finite("moment overflows the float range", row, header.__getitem__)
-    Path(path).write_text(_csv_text(g.n, rows))
+    nothing is written when _sweep_csv refuses the table."""
+    rows, text = _sweep_csv(g, samples)
+    Path(path).write_text(text)
     return rows
 
 

@@ -11,6 +11,7 @@ constructive mode additionally requires b0 + b2 = b1 + b3.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .config import tolerance
@@ -27,7 +28,9 @@ def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
     """First three power sums of the reciprocal radii, each added left to right.
 
     ValueError unless every radius is positive and finite, and when the third
-    power sum overflows (a radius below about 1.8e-103).
+    power sum overflows (a radius below about 1.8e-103) or is below the
+    normal floats (every radius above about 3.6e102), where the relation
+    test, judged against I3, decides nothing.
     """
     if len(radii) != 4:
         raise ValueError("expected exactly four radii")
@@ -42,6 +45,8 @@ def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
         I3 = math.inf
     if I3 == math.inf:
         raise ValueError(f"third moment I3 = sum 1/radius^3 overflows for radii {radii}")
+    if I3 < sys.float_info.min:
+        raise ValueError(f"third moment I3 = sum 1/radius^3 underflows for radii {radii}")
     return (b0 + b1 + b2 + b3, b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3, I3)
 
 

@@ -9,7 +9,6 @@ in the canonical frame.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import mul
@@ -142,8 +141,8 @@ class GeneralMomentParams:
 
 def first_two_moments_general(g: Gauge) -> tuple[float, float, GeneralMomentParams]:
     """I_1 = n s and I_2 = (n/2)(3 s^2 + p), valid for every n >= 3."""
-    cot2 = 1.0 / math.tan(math.pi / g.n) ** 2
-    A, a = g.outer_bend, g.inner_bend
+    cot2 = 1.0 / g.q
+    A, a = -1.0 / g.R, 1.0 / g.r
     s = cot2 * (A + a) / 2.0
     p = cot2 * A * a
     return g.n * s, (g.n / 2.0) * (3.0 * s * s + p), GeneralMomentParams(s, p)

@@ -119,14 +119,6 @@ class Gauge:
             raise ValueError("radii must satisfy R > r > 0")
         object.__setattr__(self, "extremes", _poristic_range(self.R, self.r, self.d))
 
-    @property
-    def inner_bend(self) -> float:
-        return 1.0 / self.r
-
-    @property
-    def outer_bend(self) -> float:
-        return -1.0 / self.R
-
     @classmethod
     def from_radii(cls, n: int, R: float, r: float) -> "Gauge":
         return cls(n, R, r, pedoe_distance(n, R, r))
@@ -152,7 +144,7 @@ class GaugeValidation:
 def validate_gauge(g: Gauge) -> GaugeValidation:
     """Check the closure relation; d^2 residuals scale with R^2."""
     residual = g.pedoe_residual()
-    limit = tolerance() * max(1.0, g.R**2)
+    limit = tolerance() * g.R**2
     if residual <= limit:
         return GaugeValidation(True, residual, "ok")
     return GaugeValidation(
@@ -223,7 +215,7 @@ class ConcentricModel:
     """Annulus obtained by moving the parent pair to concentric position.
 
     Chain construction does not use it: it is the independent oracle that
-    the closed form of chains_at_phases is tested against.
+    the closed form of chain_at_phase is tested against.
 
     For d > 0 this is the unit inversion centered at the limiting point
     inside the inner parent; that map sends the outer parent to the annulus
@@ -304,18 +296,10 @@ def _circle_coordinates(
         yield coords
 
 
-def chains_at_phases(g: Gauge, thetas: Iterable[float]) -> Iterator[SteinerChain]:
-    """Chains at each phase angle in thetas, whose rows are the closed-form
-    coordinates of _circle_coordinates."""
-    thetas = tuple(thetas)
-    step = TAU / g.n
-    for theta, coords in zip(thetas, _circle_coordinates(g, thetas)):
-        yield SteinerChain(g, theta % step, tuple(coords))
-
-
 def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
     """Construct the chain at phase angle theta of the concentric model."""
-    return next(chains_at_phases(g, (theta,)))
+    (coords,) = _circle_coordinates(g, (theta,))
+    return SteinerChain(g, theta % (TAU / g.n), tuple(coords))
 
 
 def _worst(values: Iterable[float]) -> float:

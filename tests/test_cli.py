@@ -118,6 +118,12 @@ class TestSweepCsv:
         assert i1[0] == pytest.approx(7 / 15, abs=1e-12)
 
 
+    def test_overflowing_moment_is_refused(self):
+        # the same row check as write_sweep_csv, so no text holds inf or nan
+        with pytest.raises(ValueError, match="moment overflows the float range: ReJ26_26$"):
+            sweep_csv_text(Gauge.from_radii(64, 1e12, 1.0), 2)
+
+
 class TestRenderSvg:
     def test_circle_count_concentric_six(self):
         svg = render_svg(chain_at_phase(G6, 0.0)).decode()
@@ -370,6 +376,21 @@ class TestCliCommands:
     def test_feasible_overflowing_moment_is_invalid_input(self, capsys, radii, moment):
         assert main(["feasible", "--radii", radii]) == 2
         assert f"error: {moment}" in capsys.readouterr().err
+
+    def test_feasible_underflowing_moment_is_invalid_input(self, capsys):
+        assert main(["feasible", "--radii", "1e155,2e155,3e155,4e155"]) == 2
+        assert "error: third moment I3 = sum 1/radius^3 underflows" in capsys.readouterr().err
+
+    def test_gauge_residual_is_judged_at_the_scale_of_R_squared(self, tmp_path, capsys):
+        # the true d of (4, 6e-6, 1e-6) is 1e-6: a chain built at d = 0 would
+        # fail its own revalidation, so none is written
+        gauge = ["--n", "4", "--R", "6e-6", "--r", "1e-6", "--d", "0"]
+        assert main(["gauge", *gauge]) == 1
+        assert "violation: d^2 residual 1e-12" in capsys.readouterr().out
+        out = tmp_path / "c.json"
+        assert main(["chain", *gauge, "--phase", "0", "--out", str(out)]) == 2
+        assert "error: d^2 residual 1e-12" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_render_roundtrip(self, tmp_path, capsys):
         chain_path = tmp_path / "c.json"

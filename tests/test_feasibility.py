@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -349,6 +350,37 @@ class TestTinyRadii:
         # 2^-330 is about 4.6e-100: every moment and the relation stay finite
         for g, radii in TestOrderingTest.CHAINS[:5]:
             quad = tuple(v * 2.0**-330 for v in radii)
+            for mode in ("paper", "constructive"):
+                assert feasibility_check(quad, mode).feasible, (g, mode)
+
+
+class TestHugeRadii:
+    """Radii so large that I3 = sum 1/radius^3 is not a normal float are
+    invalid input: there the relation test, judged against I3, decides nothing."""
+
+    @pytest.mark.parametrize("quad", [(1e155, 2e155, 3e155, 4e155), (6e102,) * 4, (1e200,) * 4])
+    def test_underflowing_third_moment(self, quad):
+        # I3 is subnormal or 0, so the relation test would decide nothing
+        with pytest.raises(ValueError, match=r"third moment I3 = sum 1/radius\^3 underflows"):
+            actual_moments(quad)
+        for mode in ("paper", "constructive"):
+            with pytest.raises(ValueError, match=r"third moment I3 = sum 1/radius\^3 underflows"):
+                feasibility_check(quad, mode)
+
+    def test_far_from_chain_radii_are_refused_not_accepted(self):
+        # without the refusal, paper mode accepts some of these at these scales
+        rng = random.Random(5)
+        for _ in range(200):
+            quad = [math.exp(rng.uniform(-3.0, 3.0)) for _ in range(4)]
+            for k in (400, 450, 500):
+                with pytest.raises(ValueError, match="underflows"):
+                    feasibility_check(tuple(v * 2.0**k for v in quad), "paper")
+
+    def test_largest_decided_scale(self):
+        # 2^330 is about 2.2e99: I3 stays a normal float
+        for g, radii in TestOrderingTest.CHAINS[:5]:
+            quad = tuple(v * 2.0**330 for v in radii)
+            assert actual_moments(quad)[2] >= sys.float_info.min
             for mode in ("paper", "constructive"):
                 assert feasibility_check(quad, mode).feasible, (g, mode)
 

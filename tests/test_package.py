@@ -4,6 +4,7 @@ Module loads are checked in fresh interpreters: this test process has
 imported every module already.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -42,10 +43,10 @@ PUBLIC = {
     "porism": [
         "ChainPropagationError", "ConcentricModel", "Gauge", "GaugeValidation",
         "InfeasibleGaugeError", "PoristicRange", "SteinerChain", "YiuCoefficients",
-        "chain_at_phase", "chain_by_yiu", "chain_residuals", "chains_at_phases",
-        "concentric_model", "conjugate_chain", "is_valid_chain", "neighbor_bend_sum",
-        "neighbor_bends", "neighbor_radius_sum", "parent_circles", "pedoe_distance",
-        "poristic_range", "validate_gauge", "yiu_coefficients",
+        "chain_at_phase", "chain_by_yiu", "chain_residuals", "concentric_model",
+        "conjugate_chain", "is_valid_chain", "neighbor_bend_sum", "neighbor_bends",
+        "neighbor_radius_sum", "parent_circles", "pedoe_distance", "poristic_range",
+        "validate_gauge", "yiu_coefficients",
     ],
     "symmetric": [
         "AxialBendsN6Report", "AxialTriplesN3Report", "SymmetricChainKind", "axial_bends_n6",
@@ -196,3 +197,30 @@ print(json.dumps([codes, calls]))
         codes, calls = json.loads(fresh(code, json.dumps(argvs)))
         assert codes[:2] == [0, 0] and codes[3] == 0
         assert calls == ["save_chain", "moment_set", "feasibility_check", "symmetric_chain"]
+
+
+def test_no_unused_import_in_src():
+    # a name a top-level import binds is used in its module's code, unless
+    # it is a binding the benchmark's traced run wraps there
+    traced = {
+        tuple(binding.split(":"))
+        for _, bindings, _ in load_tracing().LAYERS
+        for binding in bindings
+    }
+    unused = []
+    for path in sorted((ROOT / "src" / "steinerchains").glob("*.py")):
+        module = "steinerchains" if path.stem == "__init__" else f"steinerchains.{path.stem}"
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{module}:{name}"
+            for name in bound
+            if name not in used and (module, name) not in traced
+        ]
+    assert unused == []

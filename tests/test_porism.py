@@ -14,7 +14,6 @@ from steinerchains import (
     SteinerChain,
     chain_at_phase,
     chain_by_yiu,
-    chains_at_phases,
     chain_residuals,
     concentric_model,
     conjugate_chain,
@@ -103,6 +102,20 @@ class TestValidateGauge:
         check = validate_gauge(Gauge(4, 6.0, 1.0, 2.0))
         assert not check.ok
         assert check.pedoe_residual == pytest.approx(3.0, rel=1e-12)
+
+    def test_residual_judged_at_the_scale_of_R_squared(self):
+        # the true d is 1e-6, so d = 0 misses d^2 by 1e-12, far above 1e-9 R^2
+        check = validate_gauge(Gauge(4, 6e-6, 1e-6, 0.0))
+        assert not check.ok
+        assert check.pedoe_residual == pytest.approx(1e-12, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33, 64])
+    def test_genuine_gauges_pass_at_every_scale(self, n):
+        ratios = [closure_ratio(n) * (1.0 + 1e-12), closure_ratio(n) * 1.001, 1e2, 1e5, 1e8]
+        for ratio in ratios:
+            for k in range(-60, 61, 5):
+                g = Gauge.from_radii(n, ratio * 2.0**k, 2.0**k)
+                assert validate_gauge(g).ok, (n, ratio, k)
 
     def test_swapped_radii_invalid(self):
         with pytest.raises(ValueError):
@@ -263,12 +276,9 @@ class TestChainAtPhase:
         built = []
         real = porism.concentric_model
         monkeypatch.setattr(porism, "concentric_model", lambda g: built.append(g) or real(g))
-        thetas = [0.0, 0.2, 0.9, 1.4, 7.1]
-        chains = list(chains_at_phases(g, thetas))
+        for theta in [0.0, 0.2, 0.9, 1.4, 7.1]:
+            chain_at_phase(g, theta)
         # the closed form needs no concentric model: it stays the test oracle
-        assert built == []
-        # one construction path: the same chains, bit for bit, one at a time
-        assert chains == [chain_at_phase(g, theta) for theta in thetas]
         assert built == []
 
     @settings(max_examples=25, deadline=None)
@@ -392,7 +402,7 @@ class TestChainRows:
 
 
 class TestClosedFormAccuracy:
-    """chains_at_phases against the inversion through the concentric model."""
+    """chain_at_phase against the inversion through the concentric model."""
 
     @pytest.mark.parametrize("ratio", [20.0, 1e3, 1e5, 1e8, 1e12])
     @pytest.mark.parametrize("n", [3, 4, 16, 64])
