@@ -6,14 +6,12 @@ double, so written artifacts are reproducible bit for bit across platforms.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
-from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from .geometry import checked_radius
-from .moments import sweep_header, sweep_rows
+from .moments import _refuse_overflow, require_finite, sweep_header, sweep_rows
 from .porism import Gauge, SteinerChain, chain_residuals
 
 
@@ -24,13 +22,6 @@ def chain_to_document(chain: SteinerChain) -> dict:
         "phase": chain.phase,
         "circles": [{"x": x, "y": y, "radius": rho} for x, y, rho in chain.rows],
     }
-
-
-def require_finite(what: str, values: Sequence[complex], label: Callable[[int], str]) -> None:
-    """Raise ValueError (CLI exit 2) naming label(i) of the first non-finite values[i]."""
-    if not all(map(cmath.isfinite, values)):
-        bad = next(i for i, v in enumerate(values) if not cmath.isfinite(v))
-        raise ValueError(f"{what}: {label(bad)}")
 
 
 def _document_field(i: int) -> str:
@@ -83,10 +74,9 @@ def _sweep_csv(g: Gauge, samples: int) -> tuple[list[list[float]], str]:
     round-trip decimals. A moment that overflowed the float range raises
     ValueError naming its column."""
     rows = sweep_rows(g, samples)
-    header = sweep_header(g.n)
-    lines = [",".join(header)]
+    _refuse_overflow(g.n, rows)
+    lines = [",".join(sweep_header(g.n))]
     for row in rows:
-        require_finite("moment overflows the float range", row, header.__getitem__)
         lines.append(",".join(repr(v) for v in row))
     return rows, "\n".join(lines) + "\n"
 

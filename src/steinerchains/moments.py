@@ -9,13 +9,22 @@ in the canonical frame.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import cmath
+import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg, sub
 
 from .geometry import checked_radius
 from .porism import TAU, Gauge, SteinerChain, _circle_coordinates
 from .porism import chain_at_phase  # noqa: F401  (a binding bench/tracing.py wraps)
+
+
+def require_finite(what: str, values: Sequence[complex], label: Callable[[int], str]) -> None:
+    """Raise ValueError (CLI exit 2) naming label(i) of the first non-finite values[i]."""
+    if not all(map(cmath.isfinite, values)):
+        bad = next(i for i, v in enumerate(values) if not cmath.isfinite(v))
+        raise ValueError(f"{what}: {label(bad)}")
 
 
 def _powers(values: Sequence, top: int) -> list[list]:
@@ -166,24 +175,23 @@ SWEEP_BLOCK_CIRCLES = 256
 least one chain each): the power tables of a block are what it holds in memory."""
 
 
-def sweep_rows(g: Gauge, samples: int) -> list[list[float]]:
-    """Per-phase moment table over `samples` uniform phases of one period,
-    with the columns of sweep_header.
+def _sweep_blocks(g: Gauge, samples: int) -> Iterator[list[tuple[float, ...]]]:
+    """The rows of the sweep over `samples` uniform phases of one period,
+    with the columns of sweep_header, one block of phases at a time.
 
-    Each row holds the same bits as moment_set(chain_at_phase(g, theta)):
-    bends and centers come from the same closed form, and the kernel sums
-    each chain alone. The table is computed column by column over blocks of
-    phases and transposed into rows at the end of each block.
+    Bends and centers come from the same closed form as chain_at_phase, and
+    the kernel sums each chain alone, so each row has the bits of
+    moment_set(chain_at_phase(g, theta)). The kernel runs column by column
+    over the block, which is transposed into rows when it is done. Only one
+    block is held at a time.
     """
     if samples < 2:
         raise ValueError("a sweep needs at least 2 samples")
     n = g.n
     pairs = invariant_pairs(n)
-    thetas = [(TAU / n) * j / samples for j in range(samples)]
     per_block = max(1, SWEEP_BLOCK_CIRCLES // n)
-    rows: list[list[float]] = []
     for start in range(0, samples, per_block):
-        block = thetas[start : start + per_block]
+        block = [(TAU / n) * j / samples for j in range(start, min(start + per_block, samples))]
         radii: list[float] = []
         centers: list[complex] = []
         for coords in _circle_coordinates(g, block):
@@ -197,8 +205,26 @@ def sweep_rows(g: Gauge, samples: int) -> list[list[float]]:
             values = cmap[pair]
             columns.append([v.real for v in values])
             columns.append([v.imag for v in values])
-        rows += map(list, zip(*columns))
+        yield list(zip(*columns))
+
+
+def sweep_rows(g: Gauge, samples: int) -> list[list[float]]:
+    """Per-phase moment table over `samples` uniform phases of one period,
+    with the columns of sweep_header: the rows of every _sweep_blocks block."""
+    rows: list[list[float]] = []
+    for block in _sweep_blocks(g, samples):
+        rows += map(list, block)
     return rows
+
+
+def _refuse_overflow(n: int, rows: Sequence[Sequence[float]]) -> None:
+    """ValueError naming the column of the first non-finite value, row by
+    row, in sweep rows for n. One sum per row finds it, since any inf or NaN
+    makes the sum non-finite; only then are the rows read value by value."""
+    if not math.isfinite(sum(map(sum, rows))):
+        label = sweep_header(n).__getitem__
+        for row in rows:
+            require_finite("moment overflows the float range", row, label)
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,20 +251,7 @@ class InvarianceReport:
         width = len(sweep_header(n))
         if not rows or any(len(row) != width for row in rows):
             raise ValueError(f"a sweep table for n={n} needs one or more rows of {width} values")
-        columns = zip(*rows)  # one column at a time, in header order
-        next(columns)  # phase
-
-        def span(col: Sequence[float]) -> float:
-            return max(col) - min(col)
-
-        bending_dev = {k: span(next(columns)) for k in range(1, n + 1)}
-        complex_dev = {}
-        max_imag = 0.0
-        for pair in invariant_pairs(n):
-            re_col, im_col = next(columns), next(columns)
-            complex_dev[pair] = max(span(re_col), span(im_col))
-            max_imag = max(max_imag, max(map(abs, im_col)))
-        return cls(n, len(rows), bending_dev, complex_dev, max_imag, bending_dev[n])
+        return _fold_spans(n, [rows])
 
     def invariants_ok(self, threshold: float) -> bool:
         real_ok = all(self.bending_deviation[k] <= threshold for k in range(1, self.n))
@@ -246,5 +259,33 @@ class InvarianceReport:
         return real_ok and cplx_ok and self.max_imag <= threshold
 
 
+def _fold_spans(n: int, blocks: Iterable[Sequence[Sequence[float]]]) -> InvarianceReport:
+    """The report on a sweep given block by block, each block as its rows
+    with the columns of sweep_header(n): the running max and min of every
+    column, each one call over the old value and the block's rows.
+
+    A moment that overflowed the float range raises ValueError (see
+    _refuse_overflow).
+    """
+    highs: Sequence[float] = ()
+    lows: Sequence[float] = ()
+    samples = 0
+    for rows in blocks:
+        _refuse_overflow(n, rows)
+        if not highs:
+            highs = lows = rows[0]
+        # max(old, *new) keeps the first of equal values, as one max() would
+        highs = list(map(max, highs, *rows))
+        lows = list(map(min, lows, *rows))
+        samples += len(rows)
+    spans = list(map(sub, highs, lows))
+    bending_dev = dict(zip(range(1, n + 1), spans[1 : n + 1]))
+    complex_dev = dict(zip(invariant_pairs(n), map(max, spans[n + 1 :: 2], spans[n + 2 :: 2])))
+    max_imag = max([0.0, *highs[n + 2 :: 2], *map(neg, lows[n + 2 :: 2])])
+    return InvarianceReport(n, samples, bending_dev, complex_dev, max_imag, bending_dev[n])
+
+
 def invariance_sweep(g: Gauge, samples: int) -> InvarianceReport:
-    return InvarianceReport.from_rows(g.n, sweep_rows(g, samples))
+    """The report on sweep_rows(g, samples), folded block by block without
+    holding the table."""
+    return _fold_spans(g.n, _sweep_blocks(g, samples))

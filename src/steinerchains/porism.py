@@ -56,6 +56,15 @@ def _closure_q(n: int) -> float:
     return math.tan(math.pi / n) ** 2
 
 
+def _square(name: str, x: float) -> float:
+    """x ** 2, or ValueError naming x when the square overflows the float range
+    (float ** raises OverflowError there)."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ValueError(f"gauge overflows the float range: {name} = {x!r}, squared") from None
+
+
 def pedoe_distance(n: int, R: float, r: float) -> float:
     """Center distance d making (R, r, d) a closed-chain gauge of order n.
 
@@ -66,9 +75,10 @@ def pedoe_distance(n: int, R: float, r: float) -> float:
     q = _closure_q(n)
     if not (R > r > 0.0):
         raise ValueError("radii must satisfy R > r > 0")
-    radicand = (R - r) ** 2 - 4.0 * q * R * r
+    gap2 = _square("R - r", R - r)
+    radicand = gap2 - 4.0 * q * R * r
     if radicand < 0.0:
-        if radicand >= -tolerance() * (R - r) ** 2:
+        if radicand >= -tolerance() * gap2:
             return 0.0
         raise InfeasibleGaugeError(
             f"no closed {n}-chain exists for radii R={R}, r={r} (radicand {radicand})"
@@ -124,7 +134,9 @@ class Gauge:
         return cls(n, R, r, pedoe_distance(n, R, r))
 
     def pedoe_residual(self) -> float:
-        return abs(self.d**2 - ((self.R - self.r) ** 2 - 4.0 * self.q * self.R * self.r))
+        """|d^2 - ((R - r)^2 - 4 q R r)|; ValueError if a square overflows."""
+        gap2 = _square("R - r", self.R - self.r)
+        return abs(_square("d", self.d) - (gap2 - 4.0 * self.q * self.R * self.r))
 
 
 def parent_circles(g: Gauge) -> tuple[OrientedCircle, OrientedCircle]:
@@ -144,7 +156,7 @@ class GaugeValidation:
 def validate_gauge(g: Gauge) -> GaugeValidation:
     """Check the closure relation; d^2 residuals scale with R^2."""
     residual = g.pedoe_residual()
-    limit = tolerance() * g.R**2
+    limit = tolerance() * _square("R", g.R)
     if residual <= limit:
         return GaugeValidation(True, residual, "ok")
     return GaugeValidation(

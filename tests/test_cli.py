@@ -492,6 +492,25 @@ class TestCliCommands:
         assert "moment overflows the float range: ReJ26_26" in capsys.readouterr().err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauge", "--n", "4", "--R", "1e200", "--r", "1"],
+            ["gauge", "--n", "4", "--R", "1e200", "--r", "1", "--d", "1"],
+            ["chain", "--n", "4", "--R", "1e200", "--r", "1", "--d", "1", "--phase", "0", "--out", "c.json"],
+            ["sweep", "--n", "4", "--R", "1e200", "--r", "1", "--d", "1", "--samples", "4", "--csv", "s.csv"],
+            ["symmetric", "--n", "4", "--R", "1e200", "--r", "1", "--d", "1", "--kind", "axial", "--out", "c.json"],
+        ],
+    )
+    def test_gauge_past_the_float_range_is_invalid_input(self, tmp_path, monkeypatch, capsys, argv):
+        # (R - r)^2 overflows: an input error, not an OverflowError traceback
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gauge overflows the float range: R - r = 1e+200, squared\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParserReuse:
     def test_parser_is_built_once(self):

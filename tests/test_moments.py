@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ from steinerchains import (
     invariance_sweep,
     invariant_pairs,
     moment_set,
+    sweep_csv_text,
     third_moment_relation_residual,
 )
 from steinerchains.moments import sweep_header, sweep_rows
@@ -222,6 +224,20 @@ class TestInvarianceSweep:
         with pytest.raises(ValueError):
             invariance_sweep(G4, 1)
 
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # the sweep holds one block of phases, never the whole table: eight
+        # times the phases may not raise the traced peak by more than 20%
+        g = Gauge.from_radii(32, 40.0, 1.0)
+        peaks = []
+        for samples in (50, 400):
+            tracemalloc.start()
+            try:
+                invariance_sweep(g, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
@@ -276,8 +292,10 @@ SWEEP_CASES = [
 
 class TestSweepRows:
     """sweep_rows against the one-chain path: each row must carry the bits
-    of moment_set at the same phase, overflowed values (n = 64 at 1e12)
-    included, and the report must be the one from_rows makes of the table."""
+    of moment_set at the same phase, overflowed values (n = 33 and 64 at
+    1e12) included. The report must be the one from_rows makes of the
+    table, or, when a moment overflowed, both must refuse it as
+    sweep_csv_text does."""
 
     @pytest.mark.parametrize("n, ratio, samples", SWEEP_CASES)
     def test_rows_are_moment_sets_bit_for_bit(self, n, ratio, samples):
@@ -294,8 +312,18 @@ class TestSweepRows:
                 want += [ms.complex_map[pair].real, ms.complex_map[pair].imag]
             assert len(row) == len(sweep_header(n))
             assert repr(row) == repr(want)
-        # repr, since an overflowed table gives NaN spans and NaN != NaN
-        assert repr(invariance_sweep(g, samples)) == repr(InvarianceReport.from_rows(n, rows))
+        overflowed = not all(math.isfinite(v) for row in rows for v in row)
+        assert overflowed == (n > 16 and ratio == 1e12)
+        if not overflowed:
+            assert repr(invariance_sweep(g, samples)) == repr(InvarianceReport.from_rows(n, rows))
+            return
+        with pytest.raises(ValueError, match="moment overflows the float range: ") as from_csv:
+            sweep_csv_text(g, samples)
+        with pytest.raises(ValueError) as from_sweep:
+            invariance_sweep(g, samples)
+        with pytest.raises(ValueError) as from_table:
+            InvarianceReport.from_rows(n, rows)
+        assert str(from_sweep.value) == str(from_table.value) == str(from_csv.value)
 
     def test_non_finite_radius_rejected_like_chain_at_phase(self):
         g = Gauge(4, math.inf, 1.0, math.inf)

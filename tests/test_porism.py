@@ -92,6 +92,12 @@ class TestPedoe:
                 with pytest.raises(ValueError, match="chain length n is too large"):
                     build()
 
+    def test_square_past_the_float_range(self):
+        # invalid input, not the OverflowError of float ** at (R - r)^2
+        for build in (lambda: pedoe_distance(4, 1e200, 1.0), lambda: Gauge.from_radii(4, 1e200, 1.0)):
+            with pytest.raises(ValueError, match=r"gauge overflows the float range: R - r = 1e\+200, squared"):
+                build()
+
 
 class TestValidateGauge:
     def test_example_gauge_ok(self):
@@ -116,6 +122,19 @@ class TestValidateGauge:
             for k in range(-60, 61, 5):
                 g = Gauge.from_radii(n, ratio * 2.0**k, 2.0**k)
                 assert validate_gauge(g).ok, (n, ratio, k)
+
+    @pytest.mark.parametrize(
+        "R, r, d, name",
+        [
+            (1e200, 1.0, 1.0, r"R - r = 1e\+200"),
+            (6.0, 1.0, 1e200, r"d = 1e\+200"),
+            (1.5e154, 1.4e154, 1.0, r"R = 1.5e\+154"),  # only the scale R^2 overflows
+        ],
+    )
+    def test_square_past_the_float_range(self, R, r, d, name):
+        # ValueError, not the OverflowError of float ** in the d^2 residual or its R^2 scale
+        with pytest.raises(ValueError, match=f"gauge overflows the float range: {name}, squared"):
+            validate_gauge(Gauge(4, R, r, d))
 
     def test_swapped_radii_invalid(self):
         with pytest.raises(ValueError):
