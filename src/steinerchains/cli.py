@@ -114,15 +114,21 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
     if args.d is None:
         d = pedoe_distance(args.n, args.R, args.r)
         g = Gauge(args.n, args.R, args.r, d)
-        print(f"d = {d!r}")
+        head = f"d = {d!r}"
     else:
         g = Gauge(args.n, args.R, args.r, args.d)
         check = validate_gauge(g)
         if not check.ok:
             print(f"violation: {check.message}")
             return 1
-        print(f"ok (closure residual {check.pedoe_residual!r})")
+        head = f"ok (closure residual {check.pedoe_residual!r})"
     rng = poristic_range(g)
+    if rng.r_min < 0.0:  # the float d has reached R - r, as it does past R/r of about 1e16
+        raise ValueError(
+            f"r_min = {rng.r_min!r} is negative: d = {g.d!r} is not below R - r in floats, "
+            f"so the radius range of (R, r) = ({g.R!r}, {g.r!r}) is lost to rounding"
+        )
+    print(head)
     print(f"radius range: [{rng.r_min!r}, {rng.r_max!r}]")
     print(f"bend range: [{rng.b_min!r}, {rng.b_max!r}]")
     return 0

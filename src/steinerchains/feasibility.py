@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .config import tolerance
+from .geometry import _Record
 from .moments import third_moment_relation_residual
 from .porism import _poristic_range, _window
 from .porism import neighbor_bends  # noqa: F401  (a binding bench/tracing.py wraps)
@@ -50,17 +50,15 @@ def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
     return (b0 + b1 + b2 + b3, b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3, I3)
 
 
-@dataclass(frozen=True, slots=True)
-class VirtualGaugeResult:
+class VirtualGaugeResult(_Record):
     """Candidate parent data recovered from (I1, I2), or the failure reason.
 
     curvatures holds (a, A) with a = 1/r > 0 the inner candidate and
-    A = -1/R < 0 the outer one; gauge holds (R, r, d).
+    A = -1/R < 0 the outer one; gauge holds (R, r, d). Each field is None
+    when it does not apply.
     """
 
-    curvatures: tuple[float, float] | None
-    gauge: tuple[float, float, float] | None
-    failure: str | None
+    _fields = __slots__ = ("curvatures", "gauge", "failure")
 
     @property
     def ok(self) -> bool:
@@ -99,21 +97,16 @@ def _candidate(
     return (a, A), (R, r, math.sqrt(radicand)), None
 
 
-@dataclass(frozen=True, slots=True)
-class FeasibilityReport:
+class FeasibilityReport(_Record):
     """adjacency_check is constructive mode's ordering verdict, set once the range
-    check passes: at n = 4 it is one equation, b0 + b2 = b1 + b3, so all four agree."""
+    check passes: at n = 4 it is one equation, b0 + b2 = b1 + b3, so all four agree.
+    The virtual_* fields are VirtualGaugeResult's, and the checks are one bool
+    per radius, or None where the check did not run."""
 
-    radii: Quadruple
-    mode: str
-    actual_moments: tuple[float, float, float]
-    virtual_curvatures: tuple[float, float] | None
-    virtual_gauge: tuple[float, float, float] | None
-    range_check: tuple[bool, bool, bool, bool] | None
-    relation_residual: float
-    adjacency_check: tuple[bool, bool, bool, bool] | None
-    feasible: bool
-    reasons: tuple[str, ...]
+    _fields = __slots__ = (
+        "radii", "mode", "actual_moments", "virtual_curvatures", "virtual_gauge",
+        "range_check", "relation_residual", "adjacency_check", "feasible", "reasons",
+    )
 
 
 def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityReport:

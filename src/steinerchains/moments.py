@@ -12,10 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from operator import mul, neg, sub
 
-from .geometry import checked_radius
+from .geometry import _Record, checked_radius
 from .porism import TAU, Gauge, SteinerChain, _circle_coordinates
 from .porism import chain_at_phase  # noqa: F401  (a binding bench/tracing.py wraps)
 
@@ -93,13 +92,11 @@ def complex_moment(chain: SteinerChain, k: int, m: int) -> complex:
     return _chain_moments(chain, k, [(k, m)])[1][(k, m)]
 
 
-@dataclass(frozen=True, slots=True)
-class MomentSet:
-    """All moments of one chain: I_1..I_K and J_{k,m} for 0 <= m <= k <= n-1."""
+class MomentSet(_Record):
+    """All moments of one chain: the tuple bending of I_1..I_K and the dict
+    complex_map from (k, m) to J_{k,m}, for 0 <= m <= k <= n-1."""
 
-    n: int
-    bending: tuple[float, ...]
-    complex_map: dict[tuple[int, int], complex]
+    _fields = __slots__ = ("n", "bending", "complex_map")
 
 
 def invariant_pairs(n: int) -> list[tuple[int, int]]:
@@ -139,13 +136,11 @@ def closed_form_I(n: int, k: int, g: Gauge) -> float:
     raise ValueError(f"no closed form implemented for (n, k) = ({n}, {k})")
 
 
-@dataclass(frozen=True, slots=True)
-class GeneralMomentParams:
+class GeneralMomentParams(_Record):
     """Scaled parent-bend symmetric functions: s = cot^2(pi/n) (A + a)/2 and
     p = cot^2(pi/n) A a, with a = 1/r, A = -1/R."""
 
-    s: float
-    p: float
+    _fields = __slots__ = ("s", "p")
 
 
 def first_two_moments_general(g: Gauge) -> tuple[float, float, GeneralMomentParams]:
@@ -227,8 +222,7 @@ def _refuse_overflow(n: int, rows: Sequence[Sequence[float]]) -> None:
             require_finite("moment overflows the float range", row, label)
 
 
-@dataclass(frozen=True, slots=True)
-class InvarianceReport:
+class InvarianceReport(_Record):
     """Max-min deviations of all moments over a phase sweep.
 
     bending_deviation[k] covers I_k for k = 1..n; complex_deviation covers
@@ -237,12 +231,9 @@ class InvarianceReport:
     doubles as the negative control.
     """
 
-    n: int
-    samples: int
-    bending_deviation: dict[int, float]
-    complex_deviation: dict[tuple[int, int], float]
-    max_imag: float
-    negative_control: float
+    _fields = __slots__ = (
+        "n", "samples", "bending_deviation", "complex_deviation", "max_imag", "negative_control"
+    )
 
     @classmethod
     def from_rows(cls, n: int, rows: list[list[float]]) -> "InvarianceReport":

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 from .config import tolerance
 from .geometry import (
     Orientation,
     OrientedCircle,
     PlanePoint,
+    _Record,
     center_distance,
     checked_radius,
     invert_circle,
@@ -86,18 +86,16 @@ def pedoe_distance(n: int, R: float, r: float) -> float:
     return math.sqrt(radicand)
 
 
-@dataclass(frozen=True, slots=True)
-class PoristicRange:
-    """Extreme chain-circle radii of a family and their reciprocal bends.
+class PoristicRange(_Record):
+    """Extreme chain-circle radii of a family and their reciprocal bends:
+    b_min = 2/(R + d - r) is the bend of the largest circle and
+    b_max = 2/(R - d - r) that of the smallest.
 
     Names follow the radius extremes: r_min pairs with the *largest* bend.
     Parents that touch (d = R - r) give r_min = 0 and b_max = inf.
     """
 
-    r_min: float
-    r_max: float
-    b_min: float  # bend of the largest circle, 2/(R + d - r)
-    b_max: float  # bend of the smallest circle, 2/(R - d - r)
+    _fields = __slots__ = ("r_min", "r_max", "b_min", "b_max")
 
 
 def _poristic_range(R: float, r: float, d: float) -> PoristicRange:
@@ -111,17 +109,13 @@ def _poristic_range(R: float, r: float, d: float) -> PoristicRange:
     return PoristicRange(r_min, r_max, b_min, b_max)
 
 
-@dataclass(frozen=True, slots=True)
-class Gauge:
+class Gauge(_Record):
     """Parent-circle datum of a poristic family. q = tan^2(pi/n) and the
-    radius range are computed once and left out of ==, hash and repr."""
+    radius range, a PoristicRange, are computed once and left out of ==,
+    hash and repr."""
 
-    n: int
-    R: float
-    r: float
-    d: float
-    q: float = field(init=False, repr=False, compare=False)
-    extremes: PoristicRange = field(init=False, repr=False, compare=False)
+    _fields = ("n", "R", "r", "d")
+    __slots__ = (*_fields, "q", "extremes")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _closure_q(self.n))
@@ -146,11 +140,8 @@ def parent_circles(g: Gauge) -> tuple[OrientedCircle, OrientedCircle]:
     return inner, outer
 
 
-@dataclass(frozen=True, slots=True)
-class GaugeValidation:
-    ok: bool
-    pedoe_residual: float
-    message: str
+class GaugeValidation(_Record):
+    _fields = __slots__ = ("ok", "pedoe_residual", "message")
 
 
 def validate_gauge(g: Gauge) -> GaugeValidation:
@@ -185,8 +176,7 @@ def _window(
     return rng, tuple([lo <= u <= hi for u in radii])  # a list builds faster than a generator
 
 
-@dataclass(frozen=True, slots=True)
-class SteinerChain:
+class SteinerChain(_Record):
     """Closed ring of n circles at one phase of a poristic family.
 
     Circles are listed counterclockwise in the concentric model, starting at
@@ -195,19 +185,16 @@ class SteinerChain:
     built when first read and kept, left out of ==, hash and repr.
     """
 
-    gauge: Gauge
-    phase: float
-    rows: tuple[tuple[float, float, float], ...]
-    _circles: tuple[OrientedCircle, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("gauge", "phase", "rows")
+    __slots__ = (*_fields, "_circles")
 
     @property
     def circles(self) -> tuple[OrientedCircle, ...]:
-        if self._circles is None:
+        circles = getattr(self, "_circles", None)
+        if circles is None:
             circles = tuple([OrientedCircle(PlanePoint(x, y), rho) for x, y, rho in self.rows])
             object.__setattr__(self, "_circles", circles)
-        return self._circles
+        return circles
 
     @property
     def radii(self) -> tuple[float, ...]:
@@ -222,8 +209,7 @@ class SteinerChain:
         return tuple([complex(x, y) for x, y, _ in self.rows])
 
 
-@dataclass(frozen=True, slots=True)
-class ConcentricModel:
+class ConcentricModel(_Record):
     """Annulus obtained by moving the parent pair to concentric position.
 
     Chain construction does not use it: it is the independent oracle that
@@ -235,12 +221,7 @@ class ConcentricModel:
     boundary (radius rho_out). For d = 0 the identity is used.
     """
 
-    pole: PlanePoint
-    center: PlanePoint
-    rho_in: float
-    rho_out: float
-    identity: bool
-    center_mismatch: float
+    _fields = __slots__ = ("pole", "center", "rho_in", "rho_out", "identity", "center_mismatch")
 
     @property
     def ratio(self) -> float:
@@ -323,17 +304,12 @@ def _worst(values: Iterable[float]) -> float:
     return max(values) if total == total else math.nan
 
 
-@dataclass(frozen=True, slots=True)
-class ChainResiduals:
+class ChainResiduals(_Record):
     """Worst-case violations of the defining tangencies of a chain, the
     limit they are judged against, tolerance() * R, and the verdict ok.
     A residual that is NaN (a NaN coordinate) fails the verdict."""
 
-    adjacent: float
-    inner: float
-    outer: float
-    range_excess: float
-    limit: float
+    _fields = __slots__ = ("adjacent", "inner", "outer", "range_excess", "limit")
 
     def max(self) -> float:
         return _worst((self.adjacent, self.inner, self.outer, self.range_excess))
@@ -380,14 +356,11 @@ def conjugate_chain(chain: SteinerChain) -> SteinerChain:
     return SteinerChain(chain.gauge, phase, tuple([(x, -y, rho) for x, y, rho in chain.rows]))
 
 
-@dataclass(frozen=True, slots=True)
-class YiuCoefficients:
+class YiuCoefficients(_Record):
     """Quadratic alpha x^2 + beta x + gamma whose roots are the bends of the
     two neighbors of a chain circle of radius u."""
 
-    alpha: float
-    beta: float
-    gamma: float
+    _fields = __slots__ = ("alpha", "beta", "gamma")
 
 
 def _neighbor_quadratic(g: Gauge, u: float) -> tuple[PoristicRange, float, float, float]:

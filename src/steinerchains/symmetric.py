@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
+from .geometry import _Record
 from .porism import Gauge, SteinerChain, chain_at_phase
 
 
@@ -76,20 +76,19 @@ def _axis_first_triple(chain: SteinerChain) -> tuple[float, float, float]:
     return (rows[axis][2], companions[0], companions[1])
 
 
-@dataclass(frozen=True, slots=True)
-class AxialTriplesN3Report:
+class AxialTriplesN3Report(_Record):
     """Published 3-chain axial formulas next to the constructed chains.
 
     printed_* evaluate the literature formulas verbatim; solver_* come from
     the phase construction. Discrepancies are reported for both ways of
-    pairing the printed triples with the two solver chains.
+    pairing the printed triples with the two solver chains. Each triple
+    field holds two triples, one per chain.
     """
 
-    printed_radii: tuple[tuple[float, float, float], tuple[float, float, float]]
-    printed_bends: tuple[tuple[float, float, float], tuple[float, float, float]]
-    solver_radii: tuple[tuple[float, float, float], tuple[float, float, float]]
-    max_relative_discrepancy: float
-    swapped_pairing_discrepancy: float
+    _fields = __slots__ = (
+        "printed_radii", "printed_bends", "solver_radii", "max_relative_discrepancy",
+        "swapped_pairing_discrepancy",
+    )
 
     @property
     def discrepant(self) -> bool:
@@ -121,14 +120,11 @@ def axial_triples_n3_printed(g: Gauge) -> AxialTriplesN3Report:
     return AxialTriplesN3Report(printed_radii, printed_bends, solver_radii, direct, swapped)
 
 
-@dataclass(frozen=True, slots=True)
-class AxialBendsN6Report:
+class AxialBendsN6Report(_Record):
     """Published axial 6-chain bends next to the constructed chain's bends,
     both in cyclic order starting at the largest circle."""
 
-    printed: tuple[float, ...]
-    solver: tuple[float, ...]
-    max_relative_discrepancy: float
+    _fields = __slots__ = ("printed", "solver", "max_relative_discrepancy")
 
 
 def axial_bends_n6(g: Gauge) -> AxialBendsN6Report:

@@ -176,6 +176,23 @@ class TestCliCommands:
         assert main(["gauge", "--n", "4", "--R", "6", "--r", "1", "--d", "5"]) == 1
         assert "violation" in capsys.readouterr().out
 
+    def test_gauge_at_r_ratio_1e15_prints_its_range(self, capsys):
+        assert main(["gauge", "--n", "4", "--R", "1e15", "--r", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "d = 999999999999997.0\n"
+            "radius range: [1.0, 999999999999998.0]\n"
+            "bend range: [1.000000000000002e-15, 1.0]\n"
+        )
+
+    @pytest.mark.parametrize("d", [None, "1e17"])
+    def test_gauge_refuses_a_negative_radius_range(self, capsys, d):
+        # past R/r of about 1e16 the float d equals R - r and r_min = -r/2
+        argv = ["gauge", "--n", "4", "--R", "1e17", "--r", "1"] + (["--d", d] if d else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: r_min = -0.5 is negative")
+
     def test_gauge_rejects_bad_radii(self, capsys):
         assert main(["gauge", "--n", "4", "--R", "1", "--r", "6"]) == 2
 

@@ -149,6 +149,33 @@ def test_gauge_command_does_not_import_json():
     assert out.split() == ["0", "False"]
 
 
+# dataclasses and the modules it would pull in; none is needed to start
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_no_module_loads_dataclasses():
+    out = fresh(
+        "import contextlib, importlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from steinerchains.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['gauge', '--n', '3', '--R', '15', '--r', '1'])\n"
+        "after_gauge = set(sys.modules)\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(f'steinerchains.{name}')\n"
+        "print(json.dumps([sorted(after_gauge - before), sorted(set(sys.modules) - after_gauge)]))",
+        *PUBLIC, "cli",
+    )
+    by_gauge, by_modules = json.loads(out)
+    assert "steinerchains.cli" in by_gauge and "steinerchains.symmetric" in by_modules
+    assert HEAVY.isdisjoint(by_gauge) and HEAVY.isdisjoint(by_modules)
+    for path in sorted((ROOT / "src" / "steinerchains").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
+
+
 def load_tracing():
     """bench/tracing.py, loaded by path as the benchmark loads it."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 
@@ -185,7 +184,7 @@ class TestStoredConstants:
         assert other == g and hash(other) == hash(g)
 
     def test_replace_recomputes(self):
-        g = dataclasses.replace(G4, R=15.0, d=4.0, n=3)
+        g = G4.replace(R=15.0, d=4.0, n=3)
         assert (g.q, poristic_range(g)) == self.closed_form(g)
         assert (poristic_range(g).r_min, poristic_range(g).r_max) == (5.0, 9.0)
 
