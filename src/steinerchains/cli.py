@@ -161,7 +161,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.tol < 0.0:
         raise ValueError(f"--tol must be non-negative, got {args.tol!r}")
     g = _validated_gauge(args)
-    report = InvarianceReport.from_rows(g.n, write_sweep_csv(g, args.samples, args.csv))
+    report = write_sweep_csv(g, args.samples, args.csv)
     for k in range(1, g.n + 1):
         tag = "invariant" if k < g.n else "not invariant"
         print(f"I{k} deviation = {report.bending_deviation[k]:.3e} ({tag})")
@@ -177,7 +177,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_symmetric(args: argparse.Namespace) -> int:
     g = _validated_gauge(args)
-    chain = symmetric_chain(g, SymmetricChainKind(args.kind))
+    chain = symmetric_chain(g, args.kind)
     import json  # only this command prints JSON; the others start without it
 
     print(json.dumps(chain_to_document(chain), indent=2))

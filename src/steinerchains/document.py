@@ -11,7 +11,8 @@ import json
 from pathlib import Path
 
 from .geometry import checked_radius
-from .moments import _refuse_overflow, require_finite, sweep_header, sweep_rows
+from .moments import InvarianceReport, _fold_spans, _sweep_blocks, require_finite, sweep_header
+from .moments import sweep_rows  # noqa: F401  (a binding bench/tracing.py wraps)
 from .porism import Gauge, SteinerChain, chain_residuals
 
 
@@ -69,16 +70,20 @@ def load_chain(path: str | Path) -> SteinerChain:
     return document_to_chain(json.loads(Path(path).read_text()))
 
 
-def _sweep_csv(g: Gauge, samples: int) -> tuple[list[list[float]], str]:
-    """The sweep_rows table and its CSV text: one row per phase, shortest
-    round-trip decimals. A moment that overflowed the float range raises
-    ValueError naming its column."""
-    rows = sweep_rows(g, samples)
-    _refuse_overflow(g.n, rows)
+def _sweep_csv(g: Gauge, samples: int) -> tuple[InvarianceReport, str]:
+    """The report of invariance_sweep and the sweep's CSV text: one line per
+    phase, shortest round-trip decimals. Each block of rows is folded, then
+    formatted, and no table is held. A moment that overflowed the float
+    range raises ValueError naming its column."""
     lines = [",".join(sweep_header(g.n))]
-    for row in rows:
-        lines.append(",".join(repr(v) for v in row))
-    return rows, "\n".join(lines) + "\n"
+
+    def formatted(blocks):
+        for rows in blocks:
+            yield rows
+            lines.extend(",".join(map(repr, row)) for row in rows)
+
+    report = _fold_spans(g.n, formatted(_sweep_blocks(g, samples)))
+    return report, "\n".join(lines) + "\n"
 
 
 def sweep_csv_text(g: Gauge, samples: int) -> str:
@@ -86,12 +91,12 @@ def sweep_csv_text(g: Gauge, samples: int) -> str:
     return _sweep_csv(g, samples)[1]
 
 
-def write_sweep_csv(g: Gauge, samples: int, path: str | Path) -> list[list[float]]:
-    """Write the moment sweep as CSV and return the sweep_rows table written;
-    nothing is written when _sweep_csv refuses the table."""
-    rows, text = _sweep_csv(g, samples)
+def write_sweep_csv(g: Gauge, samples: int, path: str | Path) -> InvarianceReport:
+    """Write the moment sweep as CSV and return its report; nothing is
+    written when _sweep_csv refuses the sweep."""
+    report, text = _sweep_csv(g, samples)
     Path(path).write_text(text)
-    return rows
+    return report
 
 
 def render_svg(chain: SteinerChain) -> bytes:

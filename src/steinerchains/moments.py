@@ -235,15 +235,6 @@ class InvarianceReport(_Record):
         "n", "samples", "bending_deviation", "complex_deviation", "max_imag", "negative_control"
     )
 
-    @classmethod
-    def from_rows(cls, n: int, rows: list[list[float]]) -> "InvarianceReport":
-        """Report on a sweep_rows table, reading each column at its position
-        in sweep_header(n): phase, I_1..I_n, then Re and Im of each pair."""
-        width = len(sweep_header(n))
-        if not rows or any(len(row) != width for row in rows):
-            raise ValueError(f"a sweep table for n={n} needs one or more rows of {width} values")
-        return _fold_spans(n, [rows])
-
     def invariants_ok(self, threshold: float) -> bool:
         real_ok = all(self.bending_deviation[k] <= threshold for k in range(1, self.n))
         cplx_ok = all(v <= threshold for v in self.complex_deviation.values())

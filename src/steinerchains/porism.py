@@ -29,6 +29,7 @@ from .geometry import (
 )
 
 TAU = 2.0 * math.pi
+_SMALLEST_NORMAL = 2.0**-1022  # sys.float_info.min
 MAX_CHAIN_LENGTH = 64
 """The largest chain length n a Gauge accepts: the domain the tests cover.
 For R >> r the smallest circle has radius about tan^2(pi/n) r, which at
@@ -58,11 +59,15 @@ def _closure_q(n: int) -> float:
 
 def _square(name: str, x: float) -> float:
     """x ** 2, or ValueError naming x when the square overflows the float range
-    (float ** raises OverflowError there)."""
+    (float ** raises OverflowError there) or, for x != 0, falls below the
+    smallest normal float, where it loses its bits or rounds to zero."""
     try:
-        return x**2
+        square = x**2
     except OverflowError:
         raise ValueError(f"gauge overflows the float range: {name} = {x!r}, squared") from None
+    if square < _SMALLEST_NORMAL and x:
+        raise ValueError(f"gauge underflows the float range: {name} = {x!r}, squared")
+    return square
 
 
 def pedoe_distance(n: int, R: float, r: float) -> float:
@@ -291,6 +296,8 @@ def _circle_coordinates(
 
 def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
     """Construct the chain at phase angle theta of the concentric model."""
+    if not math.isfinite(theta):
+        raise ValueError(f"chain phase must be finite, got theta = {theta!r}")
     (coords,) = _circle_coordinates(g, (theta,))
     return SteinerChain(g, theta % (TAU / g.n), tuple(coords))
 

@@ -24,12 +24,14 @@ class SymmetricChainKind(enum.Enum):
     LATERAL = "lateral"  # even n, circles tangent to the axis
 
 
-def symmetric_chain(g: Gauge, kind: SymmetricChainKind) -> SteinerChain:
+def symmetric_chain(g: Gauge, kind: SymmetricChainKind | str) -> SteinerChain:
     """Build the requested symmetric chain via the phase construction.
 
+    kind is a SymmetricChainKind or its value; any other raises ValueError.
     Phase 0 is the axial chain through the largest circle (+x side); phase
     pi/n is the other axial chain for odd n and the lateral chain for even n.
     """
+    kind = SymmetricChainKind(kind)
     odd = g.n % 2 == 1
     if kind in (SymmetricChainKind.AXIAL_MAX, SymmetricChainKind.AXIAL_MIN) and not odd:
         raise ValueError(f"{kind.value} requires odd chain length, got n={g.n}")

@@ -22,7 +22,7 @@ from steinerchains import (
     sweep_csv_text,
 )
 from steinerchains.cli import build_parser, main
-from steinerchains.moments import InvarianceReport, sweep_header
+from steinerchains.moments import invariance_sweep, sweep_header
 
 G3 = Gauge(3, 15.0, 1.0, 4.0)
 G4 = Gauge(4, 6.0, 1.0, 1.0)
@@ -313,13 +313,19 @@ class TestCliCommands:
         import steinerchains.moments as moments
         import steinerchains.porism as porism
 
-        tables, models = [], []
-        real_rows, real_model = moments.sweep_rows, porism.concentric_model
+        sweeps, tables, models = [], [], []
+        real_blocks, real_rows = document._sweep_blocks, moments.sweep_rows
+        real_model = porism.concentric_model
+
+        def counted_blocks(g, samples):
+            sweeps.append((g, samples))
+            return real_blocks(g, samples)
 
         def counted_rows(g, samples):
-            tables.append(real_rows(g, samples))
-            return tables[-1]
+            tables.append((g, samples))
+            return real_rows(g, samples)
 
+        monkeypatch.setattr(document, "_sweep_blocks", counted_blocks)
         monkeypatch.setattr(moments, "sweep_rows", counted_rows)
         monkeypatch.setattr(document, "sweep_rows", counted_rows)
         monkeypatch.setattr(porism, "concentric_model", lambda g: models.append(g) or real_model(g))
@@ -329,13 +335,14 @@ class TestCliCommands:
              "--samples", "24", "--csv", str(csv_path)]
         )
         assert code == 0
-        assert len(tables) == 1  # one sweep serves the CSV and the report
+        assert len(sweeps) == 1  # one pass over the blocks serves the CSV and the report
+        assert tables == []  # and no table is built
         assert models == []  # construction builds no concentric model
         lines = csv_path.read_text().splitlines()
         assert lines[0].split(",") == sweep_header(4)
         # repr round-trips, so the CSV holds the swept floats exactly
-        assert [list(map(float, l.split(","))) for l in lines[1:]] == tables[0]
-        report = InvarianceReport.from_rows(4, tables[0])
+        assert [list(map(float, l.split(","))) for l in lines[1:]] == real_rows(G4, 24)
+        report = invariance_sweep(G4, 24)
         out = capsys.readouterr().out
         for k in range(1, 5):
             assert f"I{k} deviation = {report.bending_deviation[k]:.3e}" in out
@@ -508,6 +515,35 @@ class TestCliCommands:
         assert code == 2
         assert "moment overflows the float range: ReJ26_26" in capsys.readouterr().err
         assert not csv_path.exists()
+
+    def test_refused_sweep_leaves_an_existing_csv_unchanged(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        gauge4 = ["--n", "4", "--R", "6", "--r", "1", "--d", "1"]
+        assert main(["sweep", *gauge4, "--samples", "5", "--csv", str(csv_path)]) == 0
+        before = csv_path.read_bytes()
+        n, ratio = 64, 1e12
+        code = main(
+            ["sweep", "--n", str(n), "--R", repr(ratio), "--r", "1",
+             "--d", repr(pedoe_distance(n, ratio, 1.0)), "--samples", "2", "--csv", str(csv_path)]
+        )
+        assert code == 2
+        assert "moment overflows the float range" in capsys.readouterr().err
+        assert csv_path.read_bytes() == before
+
+    def test_gauge_at_the_smallest_scale_closes(self, capsys):
+        assert main(["gauge", "--n", "4", "--R", "4e-154", "--r", "1e-155"]) == 0
+        assert capsys.readouterr().out.startswith("d = ")
+
+    @pytest.mark.parametrize("d", [None, "0"])
+    def test_gauge_whose_square_underflows_is_invalid_input(self, capsys, d):
+        # (R - r)^2 is subnormal: d would read 0, the concentric family
+        argv = ["gauge", "--n", "4", "--R", "4e-169", "--r", "1e-170"] + (["--d", d] if d else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: gauge underflows the float range: R - r = 3.9000000000000004e-169, squared\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

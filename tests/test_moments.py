@@ -19,6 +19,7 @@ from steinerchains import (
     moment_set,
     sweep_csv_text,
     third_moment_relation_residual,
+    write_sweep_csv,
 )
 from steinerchains.moments import sweep_header, sweep_rows
 
@@ -293,12 +294,12 @@ SWEEP_CASES = [
 class TestSweepRows:
     """sweep_rows against the one-chain path: each row must carry the bits
     of moment_set at the same phase, overflowed values (n = 33 and 64 at
-    1e12) included. The report must be the one from_rows makes of the
-    table, or, when a moment overflowed, both must refuse it as
-    sweep_csv_text does."""
+    1e12) included. invariance_sweep, sweep_csv_text and write_sweep_csv
+    must report and format that table, or, when a moment overflowed, all
+    three must refuse it with one message."""
 
     @pytest.mark.parametrize("n, ratio, samples", SWEEP_CASES)
-    def test_rows_are_moment_sets_bit_for_bit(self, n, ratio, samples):
+    def test_rows_are_moment_sets_bit_for_bit(self, n, ratio, samples, tmp_path):
         if ratio == "boundary":
             ratio = closure_ratio(n) * (1.0 + 1e-9)
         g = Gauge.from_radii(n, ratio, 1.0)
@@ -314,16 +315,29 @@ class TestSweepRows:
             assert repr(row) == repr(want)
         overflowed = not all(math.isfinite(v) for row in rows for v in row)
         assert overflowed == (n > 16 and ratio == 1e12)
+        csv_path = tmp_path / "s.csv"
         if not overflowed:
-            assert repr(invariance_sweep(g, samples)) == repr(InvarianceReport.from_rows(n, rows))
+            spans = [max(col) - min(col) for col in zip(*rows)]
+            imag = [abs(v) for row in rows for v in row[n + 2 :: 2]]
+            bending = dict(zip(range(1, n + 1), spans[1 : n + 1]))
+            complex_dev = dict(zip(invariant_pairs(n), map(max, spans[n + 1 :: 2], spans[n + 2 :: 2])))
+            reference = InvarianceReport(
+                n, samples, bending, complex_dev, max([0.0, *imag]), bending[n]
+            )
+            assert repr(invariance_sweep(g, samples)) == repr(reference)
+            text = "\n".join([",".join(sweep_header(n)), *(",".join(map(repr, row)) for row in rows)])
+            assert sweep_csv_text(g, samples) == text + "\n"
+            assert repr(write_sweep_csv(g, samples, csv_path)) == repr(reference)
+            assert csv_path.read_text() == text + "\n"
             return
         with pytest.raises(ValueError, match="moment overflows the float range: ") as from_csv:
             sweep_csv_text(g, samples)
         with pytest.raises(ValueError) as from_sweep:
             invariance_sweep(g, samples)
-        with pytest.raises(ValueError) as from_table:
-            InvarianceReport.from_rows(n, rows)
-        assert str(from_sweep.value) == str(from_table.value) == str(from_csv.value)
+        with pytest.raises(ValueError) as from_file:
+            write_sweep_csv(g, samples, csv_path)
+        assert str(from_sweep.value) == str(from_file.value) == str(from_csv.value)
+        assert not csv_path.exists()
 
     def test_non_finite_radius_rejected_like_chain_at_phase(self):
         g = Gauge(4, math.inf, 1.0, math.inf)
@@ -333,11 +347,3 @@ class TestSweepRows:
             sweep_rows(g, 3)
         assert str(from_sweep.value) == str(from_chain.value)
         assert "radius must be positive and finite" in str(from_sweep.value)
-
-    def test_from_rows_rejects_wrong_width(self):
-        rows = sweep_rows(G4, 3)
-        wider = [row + [0.0] for row in rows]
-        narrower = [row[:-1] for row in rows]
-        for bad in (wider, narrower, rows[:2] + narrower[2:], []):
-            with pytest.raises(ValueError, match="rows of 25 values"):
-                InvarianceReport.from_rows(4, bad)

@@ -1,5 +1,7 @@
 import math
 import pickle
+import re
+import sys
 
 import mpmath
 import pytest
@@ -30,7 +32,7 @@ from steinerchains import (
     yiu_coefficients,
 )
 from steinerchains.moments import sweep_rows
-from steinerchains.porism import MAX_CHAIN_LENGTH
+from steinerchains.porism import MAX_CHAIN_LENGTH, _square
 
 from conftest import (
     GAUGE_DOMAINS,
@@ -97,6 +99,31 @@ class TestPedoe:
             with pytest.raises(ValueError, match=r"gauge overflows the float range: R - r = 1e\+200, squared"):
                 build()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-155])
+    def test_smallest_scales_still_close(self, scale):
+        # (R - r)^2 = (39 scale)^2 is still a normal float at 1e-155
+        g = Gauge.from_radii(4, 40.0 * scale, scale)
+        assert validate_gauge(g).ok
+        assert is_valid_chain(chain_at_phase(g, 0.3))
+
+    @pytest.mark.parametrize("scale", [1e-156, 1e-160, 1e-170, 1e-300])
+    def test_square_below_the_float_range(self, scale):
+        # a subnormal or zero (R - r)^2 would give d = 0, the concentric
+        # family, and a chain that fails its own validation
+        name = re.escape(repr(40.0 * scale - scale))
+        with pytest.raises(ValueError, match=f"gauge underflows the float range: R - r = {name}, squared"):
+            Gauge.from_radii(4, 40.0 * scale, scale)
+
+    def test_square_at_the_smallest_normal_float(self):
+        # 2^-511 squares to sys.float_info.min exactly; the next float down does not
+        edge = math.sqrt(sys.float_info.min)
+        assert edge * edge == sys.float_info.min
+        assert _square("x", edge) == sys.float_info.min
+        below = math.nextafter(edge, 0.0)
+        with pytest.raises(ValueError, match=f"gauge underflows the float range: x = {below!r}, squared"):
+            _square("x", below)
+        assert _square("x", 0.0) == 0.0  # the concentric d = 0 is exact
+
 
 class TestValidateGauge:
     def test_example_gauge_ok(self):
@@ -133,6 +160,17 @@ class TestValidateGauge:
     def test_square_past_the_float_range(self, R, r, d, name):
         # ValueError, not the OverflowError of float ** in the d^2 residual or its R^2 scale
         with pytest.raises(ValueError, match=f"gauge overflows the float range: {name}, squared"):
+            validate_gauge(Gauge(4, R, r, d))
+
+    @pytest.mark.parametrize(
+        "R, r, d, name",
+        [
+            (4e-169, 1e-170, 0.0, r"R - r = 3.9000000000000004e-169"),
+            (6.0, 1.0, 1e-160, r"d = 1e-160"),
+        ],
+    )
+    def test_square_below_the_float_range(self, R, r, d, name):
+        with pytest.raises(ValueError, match=f"gauge underflows the float range: {name}, squared"):
             validate_gauge(Gauge(4, R, r, d))
 
     def test_swapped_radii_invalid(self):
@@ -263,6 +301,11 @@ class TestChainAtPhase:
         assert radius_multisets_close(
             chain_at_phase(G3, math.pi / 3).radii, (5.0, 7.5, 7.5), 1e-9
         )
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_refused(self, theta):
+        with pytest.raises(ValueError, match=f"chain phase must be finite, got theta = {theta!r}$"):
+            chain_at_phase(G4, theta)
 
     def test_phase_normalized(self):
         step = 2 * math.pi / 4

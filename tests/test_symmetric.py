@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,25 @@ class TestSymmetricChainSelection:
     def test_conjugation_invariance(self, g, kind):
         chain = symmetric_chain(g, kind)
         assert circle_sets_close(chain, conjugate_chain(chain), 1e-9 * g.R)
+
+    @pytest.mark.parametrize(
+        "g, kind",
+        [(g, kind) for kind in SymmetricChainKind for g in (G3, G4)],
+    )
+    def test_kind_value_acts_as_its_member(self, g, kind):
+        # each kind by member and by value, on an odd and an even gauge
+        try:
+            want = symmetric_chain(g, kind)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                symmetric_chain(g, kind.value)
+            return
+        assert symmetric_chain(g, kind.value) == want
+
+    @pytest.mark.parametrize("kind", ["nonsense", "AXIAL_EVEN", "", None, 0])
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match="is not a valid SymmetricChainKind"):
+            symmetric_chain(G4, kind)
 
     def test_odd_n_axial_pair_shares_invariants(self):
         a = symmetric_chain(G3, SymmetricChainKind.AXIAL_MAX)
