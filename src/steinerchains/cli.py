@@ -7,10 +7,10 @@ infeasible, invariance violation in a sweep); 2 on invalid input.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
+import types
 
 from . import _EXPORTS, _lazy
 from .porism import (
@@ -28,81 +28,19 @@ from .porism import (
 # bench/tracing.py wraps.
 __getattr__ = _lazy(globals(), _EXPORTS)
 
-_KINDS = ("axial-max", "axial-min", "axial", "lateral")  # SymmetricChainKind values
-
 
 def _finite_float(text: str) -> float:
-    """argparse type of every float option: NaN and infinities are invalid input."""
+    """Converter of every float option: NaN and infinities are invalid input."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _add_gauge_args(p: argparse.ArgumentParser, with_d: bool = True) -> None:
-    p.add_argument("--n", type=int, required=True, help=f"chain length (3 to {MAX_CHAIN_LENGTH})")
-    p.add_argument("--R", type=_finite_float, required=True, help="outer parent radius")
-    p.add_argument("--r", type=_finite_float, required=True, help="inner parent radius")
-    if with_d:
-        p.add_argument("--d", type=_finite_float, required=True, help="center distance")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Built on first use and shared by every later main() call; nothing may
-    change it afterwards, so each call parses against the same defaults."""
-    parser = argparse.ArgumentParser(
-        prog="steiner",
-        description="Construct tangent-circle chains, verify their moment "
-        "invariants, and decide radius feasibility.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gauge", help="validate (R, r, d) or derive d from (n, R, r)")
-    _add_gauge_args(p, with_d=False)
-    p.add_argument("--d", type=_finite_float, default=None, help="center distance (omit to derive)")
-
-    p = sub.add_parser("chain", help="build the chain at a phase and write it as JSON")
-    _add_gauge_args(p)
-    p.add_argument("--phase", type=_finite_float, required=True)
-    p.add_argument("--out", required=True, help="output JSON path")
-
-    p = sub.add_parser("invariants", help="print moments of a stored chain")
-    p.add_argument("--chain", required=True, help="chain JSON path")
-    p.add_argument("--max-k", type=int, default=None, help="highest I_k to print (>= 1)")
-    p.add_argument("--complex", action="store_true", help="also print complex moments")
-
-    p = sub.add_parser("sweep", help="write a per-phase moment table as CSV")
-    _add_gauge_args(p)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--csv", required=True, help="output CSV path")
-    p.add_argument(
-        "--tol",
-        type=_finite_float,
-        default=1e-8,
-        help="deviation above which an invariant counts as violated",
-    )
-
-    p = sub.add_parser("symmetric", help="build an axial or lateral chain")
-    _add_gauge_args(p)
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
-    p.add_argument("--out", default=None, help="optional JSON output path")
-
-    p = sub.add_parser("feasible", help="decide an ordered radius quadruple")
-    p.add_argument("--radii", required=True, help="four comma-separated radii")
-    p.add_argument("--mode", choices=["paper", "constructive"], default="paper")
-
-    p = sub.add_parser("render", help="draw a stored chain as SVG")
-    p.add_argument("--chain", required=True, help="chain JSON path")
-    p.add_argument("--svg", required=True, help="output SVG path")
-
-    return parser
-
-
-def _validated_gauge(args: argparse.Namespace) -> Gauge:
+def _validated_gauge(args: types.SimpleNamespace) -> Gauge:
     g = Gauge(args.n, args.R, args.r, args.d)
     check = validate_gauge(g)
     if not check.ok:
@@ -110,7 +48,7 @@ def _validated_gauge(args: argparse.Namespace) -> Gauge:
     return g
 
 
-def _cmd_gauge(args: argparse.Namespace) -> int:
+def _cmd_gauge(args: types.SimpleNamespace) -> int:
     if args.d is None:
         d = pedoe_distance(args.n, args.R, args.r)
         g = Gauge(args.n, args.R, args.r, d)
@@ -134,7 +72,7 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chain(args: argparse.Namespace) -> int:
+def _cmd_chain(args: types.SimpleNamespace) -> int:
     g = _validated_gauge(args)
     chain = chain_at_phase(g, args.phase)
     save_chain(chain, args.out)
@@ -142,7 +80,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: types.SimpleNamespace) -> int:
     moments = moment_set(load_chain(args.chain), args.max_k)
     lines = [f"I{k} = {v!r}" for k, v in enumerate(moments.bending, start=1)]
     values = list(moments.bending)
@@ -157,7 +95,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: types.SimpleNamespace) -> int:
     if args.tol < 0.0:
         raise ValueError(f"--tol must be non-negative, got {args.tol!r}")
     g = _validated_gauge(args)
@@ -175,7 +113,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_symmetric(args: argparse.Namespace) -> int:
+def _cmd_symmetric(args: types.SimpleNamespace) -> int:
     g = _validated_gauge(args)
     chain = symmetric_chain(g, args.kind)
     import json  # only this command prints JSON; the others start without it
@@ -186,7 +124,7 @@ def _cmd_symmetric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_feasible(args: argparse.Namespace) -> int:
+def _cmd_feasible(args: types.SimpleNamespace) -> int:
     quad = tuple(float(v) for v in args.radii.split(","))
     report = feasibility_check(quad, mode=args.mode)
     I1, I2, I3 = report.actual_moments
@@ -210,7 +148,7 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
     return 0 if report.feasible else 1
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: types.SimpleNamespace) -> int:
     chain = load_chain(args.chain)
     svg = render_svg(chain)
     with open(args.svg, "wb") as fh:
@@ -219,21 +157,122 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-# command: (function, the modules whose names it calls)
+_REQUIRED = object()  # the default of an option that must be given
+_N_R_r = (("n", int, _REQUIRED, f"chain length (3 to {MAX_CHAIN_LENGTH})"),
+          ("R", _finite_float, _REQUIRED, "outer parent radius"),
+          ("r", _finite_float, _REQUIRED, "inner parent radius"))
+_GAUGE = (*_N_R_r, ("d", _finite_float, _REQUIRED, "center distance"))
+_KINDS = ("axial", "axial-max", "axial-min", "lateral")  # SymmetricChainKind values
+
+# command: (function, the modules whose names it calls, help, options); an option is (name,
+# converter, default, help), where the converter bool makes a flag and a tuple lists the choices.
 _COMMANDS = {
-    "gauge": (_cmd_gauge, ()),
-    "chain": (_cmd_chain, ("document",)),
-    "invariants": (_cmd_invariants, ("document", "moments")),
-    "sweep": (_cmd_sweep, ("document", "moments")),
-    "symmetric": (_cmd_symmetric, ("document", "symmetric")),
-    "feasible": (_cmd_feasible, ("feasibility",)),
-    "render": (_cmd_render, ("document",)),
+    "gauge": (_cmd_gauge, (), "validate (R, r, d) or derive d from (n, R, r)", (
+        *_N_R_r, ("d", _finite_float, None, "center distance (omit to derive)"))),
+    "chain": (_cmd_chain, ("document",), "build the chain at a phase and write it as JSON", (
+        *_GAUGE, ("phase", _finite_float, _REQUIRED, "phase angle in the concentric model"),
+        ("out", str, _REQUIRED, "output JSON path"))),
+    "invariants": (_cmd_invariants, ("document", "moments"), "print moments of a stored chain", (
+        ("chain", str, _REQUIRED, "chain JSON path"), ("max-k", int, None, "highest I_k to print (>= 1)"),
+        ("complex", bool, False, "also print complex moments"))),
+    "sweep": (_cmd_sweep, ("document", "moments"), "write a per-phase moment table as CSV", (
+        *_GAUGE, ("samples", int, _REQUIRED, "number of phases"), ("csv", str, _REQUIRED, "output CSV path"),
+        ("tol", _finite_float, 1e-8, "deviation above which an invariant counts as violated"))),
+    "symmetric": (_cmd_symmetric, ("document", "symmetric"), "build an axial or lateral chain", (
+        *_GAUGE, ("kind", _KINDS, _REQUIRED, "which symmetric chain"),
+        ("out", str, None, "optional JSON output path"))),
+    "feasible": (_cmd_feasible, ("feasibility",), "decide an ordered radius quadruple", (
+        ("radii", str, _REQUIRED, "four comma-separated radii"),
+        ("mode", ("paper", "constructive"), "paper", "paper (order-blind) or constructive (ordered)"))),
+    "render": (_cmd_render, ("document",), "draw a stored chain as SVG", (
+        ("chain", str, _REQUIRED, "chain JSON path"), ("svg", str, _REQUIRED, "output SVG path"))),
 }
+
+
+class _Parser:
+    """Reads argv against _COMMANDS: `--opt value` or `--opt=value`, where a value may start
+    with "-"; a flag stands alone and no option is abbreviated. Input errors exit 2, help 0."""
+
+    def __init__(self) -> None:
+        # command: {"--name": (attribute, converter, default, help, usage word)}
+        self.options, self.usage = {}, {None: f"usage: steiner [-h] {{{','.join(_COMMANDS)}}} ..."}
+        for command, (*_, options) in _COMMANDS.items():
+            table, words = self.options.setdefault(command, {}), [f"usage: steiner {command} [-h]"]
+            for name, convert, default, help in options:
+                attr = name.replace("-", "_")
+                metavar = f"{{{','.join(convert)}}}" if isinstance(convert, tuple) else attr.upper()
+                word = f"--{name}" if convert is bool else f"--{name} {metavar}"
+                table[f"--{name}"] = (attr, convert, default, help, word)
+                words.append(word if default is _REQUIRED else f"[{word}]")
+            self.usage[command] = " ".join(words)
+
+    def parse_args(self, argv: list[str] | None = None) -> types.SimpleNamespace:
+        command, *tokens = (sys.argv[1:] if argv is None else argv) or [None]
+        if command in ("-h", "--help"):
+            self._help(None)
+        if command not in _COMMANDS:
+            choices = ", ".join(map(repr, _COMMANDS))
+            self._fail(None, "the following arguments are required: command" if command is None else
+                       f"argument command: invalid choice: {command!r} (choose from {choices})")
+        options = self.options[command]
+        args = types.SimpleNamespace(command=command)
+        args.__dict__.update((attr, default) for attr, _, default, *_ in options.values() if default is not _REQUIRED)
+        tokens = iter(tokens)
+        for token in tokens:
+            if token in ("-h", "--help"):
+                self._help(command)
+            flag, eq, value = token.partition("=")
+            if flag not in options:
+                self._fail(command, f"unrecognized arguments: {token}")
+            attr, convert, *_ = options[flag]
+            if convert is bool:
+                if eq:
+                    self._fail(command, f"argument {flag}: ignored explicit argument {value!r}")
+                value = True
+            elif not eq and (value := next(tokens, None)) is None:
+                self._fail(command, f"argument {flag}: expected one argument")
+            elif isinstance(convert, tuple):
+                if value not in convert:
+                    choices = ", ".join(map(repr, convert))
+                    self._fail(command, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+            else:
+                try:
+                    value = convert(value)
+                except ValueError as exc:  # int's message, worded as argparse words it
+                    self._fail(command, f"argument {flag}: " + (
+                        str(exc) if convert is _finite_float else f"invalid int value: {value!r}"))
+            setattr(args, attr, value)
+        missing = [flag for flag, (attr, *_) in options.items() if not hasattr(args, attr)]
+        if missing:
+            self._fail(command, f"the following arguments are required: {', '.join(missing)}")
+        return args
+
+    def _help(self, command: str | None) -> None:
+        if command is None:
+            text = "Construct tangent-circle chains, verify their moment invariants, and decide radius feasibility."
+            rows = [(name, spec[2]) for name, spec in _COMMANDS.items()]
+        else:
+            text, rows = _COMMANDS[command][2], [(o[4], o[3]) for o in self.options[command].values()]
+        rows.insert(0, ("-h, --help", "show this help message and exit"))
+        width = max(len(left) for left, _ in rows)
+        print(self.usage[command], "", text, "", *(f"  {left:<{width}}  {help}" for left, help in rows), sep="\n")
+        raise SystemExit(0)
+
+    def _fail(self, command: str | None, message: str) -> None:
+        prog = "steiner" if command is None else f"steiner {command}"
+        print(self.usage[command], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """Built on first use and shared by every later main() call, which it keeps no state of."""
+    return _Parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    command, modules = _COMMANDS[args.command]
+    command, modules = _COMMANDS[args.command][:2]
     for module in modules:
         if module not in globals():
             __getattr__(module)

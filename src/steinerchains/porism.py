@@ -298,6 +298,7 @@ def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
     """Construct the chain at phase angle theta of the concentric model."""
     if not math.isfinite(theta):
         raise ValueError(f"chain phase must be finite, got theta = {theta!r}")
+    theta = math.fmod(theta, TAU)  # exact, and keeps the offsets 2*pi*k/n of a large phase
     (coords,) = _circle_coordinates(g, (theta,))
     return SteinerChain(g, theta % (TAU / g.n), tuple(coords))
 

@@ -21,7 +21,7 @@ from steinerchains import (
     save_chain,
     sweep_csv_text,
 )
-from steinerchains.cli import build_parser, main
+from steinerchains.cli import _COMMANDS, build_parser, main
 from steinerchains.moments import invariance_sweep, sweep_header
 
 G3 = Gauge(3, 15.0, 1.0, 4.0)
@@ -216,6 +216,12 @@ class TestCliCommands:
         i1 = float(next(l for l in lines if l.startswith("I1 = ")).removeprefix("I1 = "))
         assert i1 == pytest.approx(5 / 3, abs=1e-9)
         assert any(l.startswith("J1,1 = ") for l in lines)
+
+    def test_chain_at_a_large_phase_revalidates(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        gauge = ["--n", "4", "--R", "6", "--r", "1", "--d", "1"]
+        assert main(["chain", *gauge, "--phase", "1e12", "--out", str(out)]) == 0
+        assert main(["invariants", "--chain", str(out)]) == 0
 
     @pytest.mark.parametrize("n, ratio", HIGH_RATIOS)
     def test_chain_invariants_render_at_high_ratio(self, tmp_path, n, ratio):
@@ -439,10 +445,11 @@ class TestCliCommands:
               "--phase={}", "--out", "c.json"], "--phase"),
             (["sweep", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
               "--samples", "4", "--csv", "s.csv", "--tol={}"], "--tol"),
+            (["gauge", "--n", "4", "--R", "{}", "--r", "1"], "--R"),
         ],
     )
     def test_non_finite_option_is_invalid_input(self, tmp_path, monkeypatch, capsys, argv, option, value):
-        # the --opt=value form, since argparse reads a bare "-inf" as an option
+        # the --opt=value form, and a bare value: "-inf" is read as a value, not an option
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([a.format(value) for a in argv])
@@ -595,6 +602,102 @@ class TestParserReuse:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert texts[0].startswith("usage: steiner")
+
+
+GAUGE_ARGS = ["--n", "4", "--R", "6", "--r", "1", "--d", "1"]
+
+
+class TestParser:
+    """The command table's parser: the argument forms it reads and the
+    input errors it refuses, each with exit 2 and the argument named."""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("gauge", ["--n", "--R", "--r", "--d"]),
+            ("chain", ["--n", "--R", "--r", "--d", "--phase", "--out"]),
+            ("invariants", ["--chain", "--max-k", "--complex"]),
+            ("sweep", ["--n", "--R", "--r", "--d", "--samples", "--csv", "--tol"]),
+            ("symmetric", ["--n", "--R", "--r", "--d", "--kind", "--out"]),
+            ("feasible", ["--radii", "--mode"]),
+            ("render", ["--chain", "--svg"]),
+        ],
+    )
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_command_help_lists_its_options(self, capsys, command, options, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: steiner {command}")
+        assert re.findall(r"^  (--[\w-]+)", out, re.M) == options
+        assert [option[0] for option in _COMMANDS[command][3]] == [o[2:] for o in options]
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        commands = ["gauge", "chain", "invariants", "sweep", "symmetric", "feasible", "render"]
+        assert re.findall(r"^  ([a-z]+) ", out, re.M) == commands
+
+    @pytest.mark.parametrize(
+        "argv, prog, message",
+        [
+            ([], "steiner", "the following arguments are required: command"),
+            (["foo"], "steiner", "argument command: invalid choice: 'foo' (choose from 'gauge', "),
+            (["gauge", *GAUGE_ARGS, "--foo", "1"], "steiner gauge", "unrecognized arguments: --foo"),
+            (["gauge", *GAUGE_ARGS, "4"], "steiner gauge", "unrecognized arguments: 4"),
+            (["chain", *GAUGE_ARGS, "--out", "c.json"], "steiner chain",
+             "the following arguments are required: --phase"),
+            (["gauge", "--n", "4", "--R", "6", "--r"], "steiner gauge", "argument --r: expected one argument"),
+            (["gauge", "--n", "4.0", "--R", "6", "--r", "1"], "steiner gauge",
+             "argument --n: invalid int value: '4.0'"),
+            (["symmetric", *GAUGE_ARGS, "--kind", "axial-mid", "--out", "c.json"], "steiner symmetric",
+             "argument --kind: invalid choice: 'axial-mid' (choose from 'axial', 'axial-max', "),
+            (["feasible", "--radii", "1,2,3,4", "--mode", "exact"], "steiner feasible",
+             "argument --mode: invalid choice: 'exact' (choose from 'paper', 'constructive')"),
+            (["invariants", "--chain", "c.json", "--complex=x"], "steiner invariants",
+             "argument --complex: ignored explicit argument 'x'"),
+            (["sweep", *GAUGE_ARGS, "--samp", "4", "--csv", "s.csv"], "steiner sweep",
+             "unrecognized arguments: --samp"),
+        ],
+    )
+    def test_input_error_exits_2_naming_the_argument(self, tmp_path, monkeypatch, capsys, argv, prog, message):
+        monkeypatch.chdir(tmp_path)
+        save_chain(chain_at_phase(G4, 0.3), tmp_path / "c.json")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()
+        assert out == "" and usage.startswith(f"usage: {prog} ")
+        assert error.startswith(f"{prog}: error: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (["gauge", "--n", "4", "--R", "6", "--r", "1"], ["gauge", "--n=4", "--R=6", "--r=1"]),
+            (["sweep", *GAUGE_ARGS, "--samples", "3", "--csv", "s.csv", "--tol", "-1e-3"],
+             ["sweep", *GAUGE_ARGS, "--samples=3", "--csv=s.csv", "--tol=-1e-3"]),
+            (["symmetric", *GAUGE_ARGS, "--kind", "lateral", "--out", "a=b.json"],
+             ["symmetric", *GAUGE_ARGS, "--kind=lateral", "--out=a=b.json"]),
+            (["invariants", "--chain", "-c.json", "--max-k", "-2", "--complex"],
+             ["invariants", "--chain=-c.json", "--max-k=-2", "--complex"]),
+        ],
+    )
+    def test_equals_and_space_forms_parse_alike(self, spaced, joined):
+        parse = build_parser().parse_args
+        assert vars(parse(spaced)) == vars(parse(joined))
+
+    def test_defaults_and_repeated_options(self):
+        args = build_parser().parse_args(["sweep", *GAUGE_ARGS, "--samples", "3", "--csv", "s.csv", "--n", "5"])
+        assert vars(args) == {
+            "command": "sweep", "n": 5, "R": 6.0, "r": 1.0, "d": 1.0, "samples": 3, "csv": "s.csv", "tol": 1e-8,
+        }
+        args = build_parser().parse_args(["invariants", "--chain", "c.json"])
+        assert (args.max_k, getattr(args, "complex")) == (None, False)
 
 
 class TestOneShot:

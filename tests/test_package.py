@@ -5,6 +5,7 @@ imported every module already.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import json
@@ -151,9 +152,14 @@ def test_gauge_command_does_not_import_json():
 
 # dataclasses and the modules it would pull in; none is needed to start
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# argparse and the modules its help texts pull in; the CLI parses from its own table
+PARSER = {"argparse", "gettext", "locale"}
 
 
-def test_no_module_loads_dataclasses():
+@functools.cache
+def startup_imports():
+    """The modules a fresh main(["gauge", ...]) loads, the modules importing
+    every other one then adds, and the modules each file of src/ imports."""
     out = fresh(
         "import contextlib, importlib, io, json, sys\n"
         "before = set(sys.modules)\n"
@@ -168,12 +174,26 @@ def test_no_module_loads_dataclasses():
     )
     by_gauge, by_modules = json.loads(out)
     assert "steinerchains.cli" in by_gauge and "steinerchains.symmetric" in by_modules
-    assert HEAVY.isdisjoint(by_gauge) and HEAVY.isdisjoint(by_modules)
+    imported = {}
     for path in sorted((ROOT / "src" / "steinerchains").glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text())))
-        imported = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
-        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
-        assert "dataclasses" not in imported, path.name
+        imported[path.name] = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+        imported[path.name] |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    return set(by_gauge), set(by_modules), imported
+
+
+def test_no_module_loads_dataclasses():
+    by_gauge, by_modules, imported = startup_imports()
+    assert HEAVY.isdisjoint(by_gauge) and HEAVY.isdisjoint(by_modules)
+    for name, modules in imported.items():
+        assert "dataclasses" not in modules, name
+
+
+def test_no_module_loads_argparse():
+    by_gauge, by_modules, imported = startup_imports()
+    assert PARSER.isdisjoint(by_gauge) and PARSER.isdisjoint(by_modules)
+    for name, modules in imported.items():
+        assert PARSER.isdisjoint(modules), name
 
 
 def load_tracing():

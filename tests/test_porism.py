@@ -311,6 +311,23 @@ class TestChainAtPhase:
         step = 2 * math.pi / 4
         assert 0.0 <= chain_at_phase(G4, 7.1).phase < step
 
+    @pytest.mark.parametrize("theta", [1e6, 1e12, 1e17, -1e12])
+    @pytest.mark.parametrize("n", [3, 4, 16, 64])
+    def test_large_phase_keeps_the_circle_offsets(self, n, theta):
+        # the offsets 2*pi*k/n are added after theta is reduced modulo 2*pi;
+        # added to 1e17 they would be lost to rounding
+        assert is_valid_chain(chain_at_phase(Gauge.from_radii(n, 40.0, 1.0), theta))
+
+    @pytest.mark.parametrize("theta", [-math.nextafter(2 * math.pi, 0.0), -4.0, -0.3, -0.0, 0.0, 2.5, 6.2831853])
+    @pytest.mark.parametrize("g", [G3, G4, G6])
+    def test_phase_below_a_turn_builds_the_unreduced_rows(self, g, theta):
+        import steinerchains.porism as porism
+
+        (rows,) = porism._circle_coordinates(g, (theta,))
+        chain = chain_at_phase(g, theta)
+        assert chain.rows == tuple(rows)
+        assert chain.phase == theta % (2 * math.pi / g.n)
+
     @pytest.mark.parametrize("g", [G3, G4, G6, Gauge.from_radii(5, 8.0, 1.0)])
     def test_hundred_phase_residuals(self, g):
         rng = poristic_range(g)
