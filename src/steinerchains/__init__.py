@@ -26,12 +26,11 @@ _EXPORTS = {
         "moment_set", "third_moment_relation_residual",
     ),
     "porism": (
-        "ChainPropagationError", "ConcentricModel", "Gauge", "GaugeValidation",
-        "InfeasibleGaugeError", "PoristicRange", "SteinerChain", "YiuCoefficients",
-        "chain_at_phase", "chain_by_yiu", "chain_residuals", "concentric_model",
-        "conjugate_chain", "is_valid_chain", "neighbor_bend_sum", "neighbor_bends",
-        "neighbor_radius_sum", "parent_circles", "pedoe_distance", "poristic_range",
-        "validate_gauge", "yiu_coefficients",
+        "ConcentricModel", "Gauge", "GaugeValidation", "InfeasibleGaugeError", "PoristicRange",
+        "SteinerChain", "YiuCoefficients", "chain_at_phase", "chain_by_yiu", "chain_residuals",
+        "concentric_model", "conjugate_chain", "is_valid_chain", "neighbor_bend_sum",
+        "neighbor_bends", "neighbor_radius_sum", "parent_circles", "pedoe_distance",
+        "poristic_range", "validate_gauge", "yiu_coefficients",
     ),
     "symmetric": (
         "AxialBendsN6Report", "AxialTriplesN3Report", "SymmetricChainKind", "axial_bends_n6",

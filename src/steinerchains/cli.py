@@ -115,12 +115,11 @@ def _cmd_sweep(args: types.SimpleNamespace) -> int:
 
 def _cmd_symmetric(args: types.SimpleNamespace) -> int:
     g = _validated_gauge(args)
-    chain = symmetric_chain(g, args.kind)
-    import json  # only this command prints JSON; the others start without it
-
-    print(json.dumps(chain_to_document(chain), indent=2))
+    text = document._chain_json(symmetric_chain(g, args.kind))
+    print(text, end="")
     if args.out:
-        save_chain(chain, args.out)
+        with open(args.out, "w") as fh:
+            fh.write(text)
     return 0
 
 

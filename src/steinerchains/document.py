@@ -62,8 +62,13 @@ def document_to_chain(doc: dict) -> SteinerChain:
     return chain
 
 
+def _chain_json(chain: SteinerChain) -> str:
+    """The text save_chain writes and `steiner symmetric` prints."""
+    return json.dumps(chain_to_document(chain), indent=2) + "\n"
+
+
 def save_chain(chain: SteinerChain, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(chain_to_document(chain), indent=2) + "\n")
+    Path(path).write_text(_chain_json(chain))
 
 
 def load_chain(path: str | Path) -> SteinerChain:

@@ -41,10 +41,6 @@ class InfeasibleGaugeError(ValueError):
     """No closed chain of the requested length exists for the given radii."""
 
 
-class ChainPropagationError(ValueError):
-    """Neighbor-bend propagation could not select a root."""
-
-
 def _closure_q(n: int) -> float:
     """tan^2(pi/n), after checking that n is an int (not a bool) with
     3 <= n <= MAX_CHAIN_LENGTH."""
@@ -58,13 +54,13 @@ def _closure_q(n: int) -> float:
 
 
 def _square(name: str, x: float) -> float:
-    """x ** 2, or ValueError naming x when the square overflows the float range
-    (float ** raises OverflowError there) or, for x != 0, falls below the
-    smallest normal float, where it loses its bits or rounds to zero."""
-    try:
-        square = x**2
-    except OverflowError:
-        raise ValueError(f"gauge overflows the float range: {name} = {x!r}, squared") from None
+    """x * x, correctly rounded (libm's pow, behind x ** 2, can miss by an
+    ulp), or ValueError naming x when the square overflows the float range
+    or, for x != 0, falls below the smallest normal float, where it loses
+    its bits or rounds to zero."""
+    square = x * x
+    if square == math.inf:
+        raise ValueError(f"gauge overflows the float range: {name} = {x!r}, squared")
     if square < _SMALLEST_NORMAL and x:
         raise ValueError(f"gauge underflows the float range: {name} = {x!r}, squared")
     return square
@@ -165,12 +161,6 @@ def validate_gauge(g: Gauge) -> GaugeValidation:
 
 def poristic_range(g: Gauge) -> PoristicRange:
     return g.extremes
-
-
-def radius_window(g: Gauge, radii: Iterable[float]) -> tuple[PoristicRange, tuple[bool, ...]]:
-    """The family's radius range and, for each radius, whether it lies in
-    [r_min, r_max] widened at both ends by tolerance() * R."""
-    return _window(g.extremes, g.R, radii, tolerance())
 
 
 def _window(
@@ -373,8 +363,9 @@ class YiuCoefficients(_Record):
 
 def _neighbor_quadratic(g: Gauge, u: float) -> tuple[PoristicRange, float, float, float]:
     """The range u was checked against and (alpha, beta, gamma) of the
-    neighbor quadratic at u; ValueError if u lies outside radius_window."""
-    rng, (inside,) = radius_window(g, (u,))
+    neighbor quadratic at u; ValueError unless u lies in the family's radius
+    range widened at both ends by tolerance() * R."""
+    rng, (inside,) = _window(g.extremes, g.R, (u,), tolerance())
     if not inside:
         raise ValueError(
             f"radius u={u} outside the admissible range [{rng.r_min}, {rng.r_max}]"
@@ -423,34 +414,17 @@ def neighbor_radius_sum(g: Gauge, u: float) -> float:
 def chain_by_yiu(g: Gauge, u0: float, branch_rule: str = "low") -> tuple[tuple[float, ...], float]:
     """Propagate radii around the chain from a seed radius u0.
 
-    At each circle the neighbor quadratic has two roots; the one that is not
-    the bend we arrived from is the next circle. branch_rule ("low" or
-    "high") picks the first step, where both directions are open; legitimate
-    double roots (u0 at a range endpoint) make the choice moot. Returns the
-    n propagated radii and the closure mismatch |u_n - u0|.
+    The two roots of the neighbor quadratic at a circle are the bends of its
+    two neighbors. branch_rule ("low" or "high") picks the root of the first
+    step, where both directions are open; legitimate double roots (u0 at a
+    range endpoint) make the choice moot. After that the next bend is the
+    root sum minus the bend we arrived from (Vieta). Returns the n
+    propagated radii and the closure mismatch |u_n - u0|.
     """
     if branch_rule not in ("low", "high"):
         raise ValueError("branch_rule must be 'low' or 'high'")
-    radii = [u0]
-    prev_bend: float | None = None
-    u = u0
-    for _ in range(g.n):
-        lo, hi = neighbor_bends(g, u)
-        if prev_bend is None:
-            nxt = lo if branch_rule == "low" else hi
-        else:
-            match_tol = 1e-6 * max(abs(lo), abs(hi))
-            d_lo, d_hi = abs(lo - prev_bend), abs(hi - prev_bend)
-            if d_lo <= d_hi and d_lo <= match_tol:
-                nxt = hi
-            elif d_hi < d_lo and d_hi <= match_tol:
-                nxt = lo
-            else:
-                raise ChainPropagationError(
-                    f"neither neighbor bend ({lo}, {hi}) matches the previous bend "
-                    f"{prev_bend} at u={u}"
-                )
-        prev_bend = 1.0 / u
-        u = 1.0 / nxt
-        radii.append(u)
+    lo, hi = neighbor_bends(g, u0)
+    radii = [u0, 1.0 / (lo if branch_rule == "low" else hi)]
+    for _ in range(g.n - 1):
+        radii.append(1.0 / (neighbor_bend_sum(g, radii[-1]) - 1.0 / radii[-2]))
     return tuple(radii[:-1]), abs(radii[-1] - radii[0])

@@ -372,6 +372,20 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["phase"] == pytest.approx(math.pi / 4)
 
+    @pytest.mark.parametrize("kind", ["axial", "lateral"])
+    def test_symmetric_out_prints_the_bytes_it_writes(self, tmp_path, capsysbinary, monkeypatch, kind):
+        from steinerchains import cli, document, symmetric_chain
+
+        built = []
+        for module in (cli, document):  # every binding a command could build it through
+            monkeypatch.setattr(module, "chain_to_document", lambda c: built.append(c) or chain_to_document(c))
+        out = tmp_path / "c.json"
+        code = main(["symmetric", "--n", "4", "--R", "6", "--r", "1", "--d", "1", "--kind", kind, "--out", str(out)])
+        assert code == 0
+        assert len(built) == 1  # built once for stdout and the file
+        want = json.dumps(chain_to_document(symmetric_chain(G4, kind)), indent=2) + "\n"
+        assert capsysbinary.readouterr().out == out.read_bytes() == want.encode()
+
     def test_symmetric_parity_error(self, capsys):
         code = main(
             ["symmetric", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
@@ -748,6 +762,37 @@ class TestToleranceOverride:
         assert main(args) == 1
         monkeypatch.setenv("STEINER_TOL", "1e-2")
         assert main(args) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1", "abc"])
+    @pytest.mark.parametrize(
+        "argv", [["gauge", "--n", "4", "--R", "6", "--r", "1", "--d", "1"], ["feasible", "--radii", "3,2.4,2,2.4"]]
+    )
+    def test_unusable_env_tolerance_is_invalid_input(self, monkeypatch, capsys, value, argv):
+        # a NaN or infinite limit passes or fails every check, and so does a negative one
+        monkeypatch.setenv("STEINER_TOL", value)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: STEINER_TOL must be a finite number >= 0, got {value!r}\n"
+
+    def test_zero_tolerance_is_usable(self, monkeypatch):
+        from steinerchains import set_tolerance, tolerance
+
+        monkeypatch.setenv("STEINER_TOL", "0")
+        assert tolerance() == 0.0
+        set_tolerance(0.0)
+        try:
+            assert tolerance() == 0.0
+        finally:
+            set_tolerance(None)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_set_tolerance_refuses_an_unusable_value(self, value):
+        from steinerchains import set_tolerance, tolerance
+
+        with pytest.raises(ValueError, match=re.escape(f"the tolerance must be a finite number >= 0, got {value!r}")):
+            set_tolerance(value)
+        assert tolerance() == 1e-9
 
     def test_set_tolerance_override(self):
         from steinerchains import set_tolerance, tolerance

@@ -436,7 +436,7 @@ def _reference_check(radii, mode):
         reasons.append(f"third-moment relation violated (residual {residual:.6g})")
     range_check = adjacency_check = None
     if gauge is not None:
-        rng, range_check = porism.radius_window(Gauge(4, *gauge), quad)
+        rng, range_check = porism._window(Gauge(4, *gauge).extremes, gauge[0], quad, config.tolerance())
         if not all(range_check):
             bad = [v for v, ok in zip(quad, range_check) if not ok]
             reasons.append(f"radii {bad} outside the candidate range [{rng.r_min:.6g}, {rng.r_max:.6g}]")

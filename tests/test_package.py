@@ -42,7 +42,7 @@ PUBLIC = {
         "moment_set", "third_moment_relation_residual",
     ],
     "porism": [
-        "ChainPropagationError", "ConcentricModel", "Gauge", "GaugeValidation",
+        "ConcentricModel", "Gauge", "GaugeValidation",
         "InfeasibleGaugeError", "PoristicRange", "SteinerChain", "YiuCoefficients",
         "chain_at_phase", "chain_by_yiu", "chain_residuals", "concentric_model",
         "conjugate_chain", "is_valid_chain", "neighbor_bend_sum", "neighbor_bends",

@@ -124,6 +124,17 @@ class TestPedoe:
             _square("x", below)
         assert _square("x", 0.0) == 0.0  # the concentric d = 0 is exact
 
+    @pytest.mark.parametrize("r", [1.0, 3.0, 0.5, 7.25])
+    @pytest.mark.parametrize("n", [3, 4, 8, 64])
+    def test_distance_scales_exactly_by_powers_of_two(self, n, r):
+        # every step of d is exact or correctly rounded, so scaling (R, r) by
+        # 2^k scales d by 2^k exactly; libm's pow, behind x ** 2, squares
+        # R - r = 133678894.91474725 one ulp off
+        R = 133678894.91474725 + r
+        d = pedoe_distance(n, R, r)
+        for k in range(-300, 200, 7):
+            assert pedoe_distance(n, 2.0**k * R, 2.0**k * r) == 2.0**k * d, k
+
 
 class TestValidateGauge:
     def test_example_gauge_ok(self):
@@ -652,6 +663,28 @@ class TestChainByYiu:
         i = axial.circles.index(biggest)
         actual = sorted((axial.bends[i - 1], axial.bends[(i + 1) % g.n]))
         assert neighbor_bends(g, rng.r_max) == pytest.approx(actual, abs=1e-9)
+
+
+class TestChainByYiuDomain:
+    # R/r from the closure boundary to 1e12 at three generic phases, seeded
+    # with the largest circle of the chain at that phase. Above R/r = 1e6 the
+    # radii of chain_at_phase drift off the exact family, so only the
+    # closure is judged there. Ratios up to 2 are multiples of the boundary.
+    @pytest.mark.parametrize("ratio", [1.0 + 1e-9, 2.0, 1e3, 1e6, 1e9, 1e10, 1e11, 1e12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33, 64])
+    def test_propagation_closes_across_the_domain(self, n, ratio):
+        if ratio <= 2.0:
+            ratio *= closure_ratio(n)
+        g = Gauge.from_radii(n, ratio, 1.0)
+        for frac in (0.031, 0.411, 0.852):
+            chain = chain_at_phase(g, frac * 2 * math.pi / n)
+            seed = max(chain.radii)
+            for branch in ("low", "high"):
+                radii, residual = chain_by_yiu(g, seed, branch)
+                assert residual <= 1e-7 * seed, (frac, branch)
+                if ratio <= 1e6:
+                    pairs = zip(sorted(radii), sorted(chain.radii))
+                    assert all(abs(u - v) <= 1e-7 * v for u, v in pairs), (frac, branch)
 
 
 class TestConjugateChain:
