@@ -39,10 +39,7 @@ def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
     if not (0.0 < r0 < math.inf and 0.0 < r1 < math.inf and 0.0 < r2 < math.inf and 0.0 < r3 < math.inf):
         raise ValueError(f"radii must be positive finite numbers, got {radii}")
     b0, b1, b2, b3 = 1.0 / r0, 1.0 / r1, 1.0 / r2, 1.0 / r3
-    try:
-        I3 = b0**3 + b1**3 + b2**3 + b3**3  # b * b * b rounds differently
-    except OverflowError:
-        I3 = math.inf
+    I3 = b0 * b0 * b0 + b1 * b1 * b1 + b2 * b2 * b2 + b3 * b3 * b3  # inf once a cube overflows
     if I3 == math.inf:
         raise ValueError(f"third moment I3 = sum 1/radius^3 overflows for radii {radii}")
     if I3 < sys.float_info.min:
@@ -125,12 +122,9 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
     curvatures, gauge, failure = _candidate(I1, I2, tol)
     reasons = [] if gauge else [failure]
 
-    try:
-        relation_residual = third_moment_relation_residual(I1, I2, I3)
-    except OverflowError:
-        raise ValueError(
-            f"third-moment relation overflows: I1^3 with I1 = {I1:.6g} for radii {quad}"
-        ) from None
+    relation_residual = third_moment_relation_residual(I1, I2, I3)
+    if not math.isfinite(relation_residual):
+        raise ValueError(f"third-moment relation overflows: I1^3 with I1 = {I1:.6g} for radii {quad}")
     if abs(relation_residual) > RELATION_TOLERANCE * abs(I3):
         reasons.append(
             f"third-moment relation violated (residual {relation_residual:.6g})"

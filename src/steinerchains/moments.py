@@ -154,7 +154,7 @@ def first_two_moments_general(g: Gauge) -> tuple[float, float, GeneralMomentPara
 
 def third_moment_relation_residual(I1: float, I2: float, I3: float) -> float:
     """I3 - (3/4 I1 I2 - 1/8 I1^3); vanishes for genuine 4-chain moments."""
-    return I3 - (0.75 * I1 * I2 - 0.125 * I1**3)
+    return I3 - (0.75 * I1 * I2 - 0.125 * (I1 * I1 * I1))
 
 
 def sweep_header(n: int) -> list[str]:

@@ -9,12 +9,18 @@ check.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 from hypothesis import strategies as st
 
-from steinerchains import (
+# The library reads STEINER_TOL once, at its first use: drop the developer's
+# value before that, so that the suite runs at the default tolerance.
+os.environ.pop("STEINER_TOL", None)
+
+from steinerchains import (  # noqa: E402
     Gauge,
     Orientation,
     OrientedCircle,
@@ -22,6 +28,18 @@ from steinerchains import (
     concentric_model,
     invert_circle,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """Environment of a fresh interpreter that imports this checkout's src/:
+    this one's, without STEINER_TOL unless overrides sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "STEINER_TOL"}
+    env["PYTHONPATH"] = str(SRC)
+    env.update(overrides)
+    return env
+
 
 # Smallest outer radius (r = 1) admitting a closed chain, by chain length:
 # R must exceed 1 + 2q + 2 sqrt(q + q^2) with q = tan^2(pi/n).

@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -23,6 +21,8 @@ from steinerchains import (
 )
 from steinerchains.cli import _COMMANDS, build_parser, main
 from steinerchains.moments import invariance_sweep, sweep_header
+
+from conftest import child_env
 
 G3 = Gauge(3, 15.0, 1.0, 4.0)
 G4 = Gauge(4, 6.0, 1.0, 1.0)
@@ -718,11 +718,10 @@ class TestOneShot:
     """`python -m steinerchains` in a fresh interpreter: __main__ and entry()."""
 
     @staticmethod
-    def run(*argv: str) -> subprocess.CompletedProcess:
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    def run(*argv: str, **env: str) -> subprocess.CompletedProcess:
         return subprocess.run(
             [sys.executable, "-m", "steinerchains", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=child_env(**env), capture_output=True, text=True, timeout=60,
         )
 
     def test_gauge_derives_distance(self):
@@ -755,36 +754,55 @@ class TestOneShot:
 
 
 class TestToleranceOverride:
-    def test_env_variable_loosens_validation(self, monkeypatch, capsys):
+    """STEINER_TOL is read once per process, at the library's first use, so
+    each value of it is tried in a fresh interpreter."""
+
+    def test_env_variable_loosens_validation(self):
         # d = 1.001 violates closure at the default 1e-9 scale but passes
         # once STEINER_TOL is raised
         args = ["gauge", "--n", "4", "--R", "6", "--r", "1", "--d", "1.001"]
-        assert main(args) == 1
-        monkeypatch.setenv("STEINER_TOL", "1e-2")
-        assert main(args) == 0
+        assert TestOneShot.run(*args).returncode == 1
+        assert TestOneShot.run(*args, STEINER_TOL="1e-2").returncode == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1", "abc"])
     @pytest.mark.parametrize(
         "argv", [["gauge", "--n", "4", "--R", "6", "--r", "1", "--d", "1"], ["feasible", "--radii", "3,2.4,2,2.4"]]
     )
-    def test_unusable_env_tolerance_is_invalid_input(self, monkeypatch, capsys, value, argv):
+    def test_unusable_env_tolerance_is_invalid_input(self, value, argv):
         # a NaN or infinite limit passes or fails every check, and so does a negative one
-        monkeypatch.setenv("STEINER_TOL", value)
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: STEINER_TOL must be a finite number >= 0, got {value!r}\n"
+        proc = TestOneShot.run(*argv, STEINER_TOL=value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: STEINER_TOL must be a finite number >= 0, got {value!r}\n"
 
-    def test_zero_tolerance_is_usable(self, monkeypatch):
-        from steinerchains import set_tolerance, tolerance
+    def test_zero_tolerance_is_usable(self):
+        code = (
+            "from steinerchains import set_tolerance, tolerance\n"
+            "env = tolerance()\n"
+            "set_tolerance(0.0)\n"
+            "override = tolerance()\n"
+            "set_tolerance(None)\n"
+            "print(env, override, tolerance())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(STEINER_TOL="0"), capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0.0 0.0 0.0\n"  # tolerance() == 0.0 from the environment, the override and after it
 
-        monkeypatch.setenv("STEINER_TOL", "0")
-        assert tolerance() == 0.0
-        set_tolerance(0.0)
-        try:
-            assert tolerance() == 0.0
-        finally:
-            set_tolerance(None)
+    def test_environment_is_read_once_per_process(self, monkeypatch):
+        # the library has been used in this process, so a later STEINER_TOL,
+        # even an unusable one, reaches no check
+        from steinerchains import chain_residuals, feasibility_check, tolerance
+
+        chain = chain_at_phase(G4, 0.3)
+        before = feasibility_check((2.0, 2.4, 3.0, 2.4), "constructive"), chain_residuals(chain)
+        monkeypatch.setenv("STEINER_TOL", "abc")
+        assert tolerance() == 1e-9
+        report, residuals = feasibility_check((2.0, 2.4, 3.0, 2.4), "constructive"), chain_residuals(chain)
+        assert (report, residuals) == before
+        assert report.feasible and residuals.ok
+        assert residuals.limit == 1e-9 * G4.R
 
     @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
     def test_set_tolerance_refuses_an_unusable_value(self, value):
@@ -793,6 +811,27 @@ class TestToleranceOverride:
         with pytest.raises(ValueError, match=re.escape(f"the tolerance must be a finite number >= 0, got {value!r}")):
             set_tolerance(value)
         assert tolerance() == 1e-9
+
+    @pytest.mark.parametrize(
+        "value", [True, False, "1e-3", 1j, [1e-3], 10**400], ids=["True", "False", "str", "complex", "list", "huge-int"]
+    )
+    def test_set_tolerance_refuses_what_is_not_a_real_number(self, value):
+        from steinerchains import set_tolerance, tolerance
+
+        with pytest.raises(ValueError, match=re.escape(f"the tolerance must be a finite number >= 0, got {value!r}")):
+            set_tolerance(value)
+        assert tolerance() == 1e-9
+
+    @pytest.mark.parametrize("value, stored", [(1, 1.0), (0, 0.0)])
+    def test_set_tolerance_stores_a_float(self, value, stored):
+        from steinerchains import set_tolerance, tolerance
+
+        set_tolerance(value)
+        try:
+            assert type(tolerance()) is float
+            assert tolerance() == stored
+        finally:
+            set_tolerance(None)
 
     def test_set_tolerance_override(self):
         from steinerchains import set_tolerance, tolerance

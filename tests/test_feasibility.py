@@ -408,7 +408,7 @@ def _reference_check(radii, mode):
     bends = [1.0 / v for v in quad]
     I1 = _in_order(bends)
     I2 = _in_order(b * b for b in bends)
-    I3 = _in_order(b**3 for b in bends)
+    I3 = _in_order(b * b * b for b in bends)
     reasons = []
     curvatures = gauge = None
     disc = I1 * I1 - 2.0 * I2
@@ -431,7 +431,7 @@ def _reference_check(radii, mode):
                 reasons.append(f"candidate parents (R={R:.6g}, r={r:.6g}) close no 4-chain")
             else:
                 gauge = (R, r, math.sqrt(radicand))
-    residual = I3 - (0.75 * I1 * I2 - 0.125 * I1**3)
+    residual = I3 - (0.75 * I1 * I2 - 0.125 * (I1 * I1 * I1))
     if abs(residual) > feasibility.RELATION_TOLERANCE * abs(I3):
         reasons.append(f"third-moment relation violated (residual {residual:.6g})")
     range_check = adjacency_check = None
@@ -522,6 +522,23 @@ class TestReferenceEquality:
         assert kinds >= {True, False, "no", "curvature", "third-moment", "radii"}
         if mode == "constructive":
             assert "opposite" in kinds
+
+    @pytest.mark.parametrize("mode", ["paper", "constructive"])
+    def test_power_of_two_scaling_is_exact(self, mode):
+        # scaling every radius by 2^k scales each bend by exactly 2^-k; with
+        # cubes taken by multiplication (pow rounds on its own), I_j and the
+        # relation residual scale by exactly 2^-jk and 2^-3k at every k
+        # for which I3 stays a normal float
+        for quad in self.QUADS[:600]:
+            base = feasibility_check(quad, mode)
+            I1, I2, I3 = base.actual_moments
+            for k in range(-300, 301, 7):
+                s = 2.0**-k
+                report = feasibility_check(tuple(v * 2.0**k for v in quad), mode)
+                assert report.actual_moments == (I1 * s, I2 * s * s, I3 * s * s * s), (quad, k)
+                assert report.relation_residual == base.relation_residual * s * s * s, (quad, k)
+                verdict = (report.feasible, report.range_check, report.adjacency_check)
+                assert verdict == (base.feasible, base.range_check, base.adjacency_check), (quad, k)
 
     @pytest.mark.parametrize("mode", ["paper", "constructive", "unknown"])
     @pytest.mark.parametrize(

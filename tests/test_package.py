@@ -9,7 +9,6 @@ import functools
 import importlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +17,8 @@ import pytest
 
 import steinerchains
 from steinerchains import Gauge, chain_at_phase, cli, save_chain
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,9 +70,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("steinerch
 
 def fresh(code: str, *args: str) -> str:
     """stdout of `python -c code args` with this checkout's src/ on the path."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

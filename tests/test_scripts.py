@@ -1,18 +1,18 @@
 """Smoke tests: the scripts under scripts/ run end to end."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name: str, cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name)],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=120,
     )
 
 
