@@ -16,7 +16,7 @@ import sys
 from .config import tolerance
 from .geometry import _Record
 from .moments import third_moment_relation_residual
-from .porism import _poristic_range, _window
+from .porism import _radius_range, _window
 from .porism import neighbor_bends  # noqa: F401  (a binding bench/tracing.py wraps)
 
 Quadruple = tuple[float, float, float, float]
@@ -69,6 +69,8 @@ def virtual_gauge(I1: float, I2: float) -> VirtualGaugeResult:
     The candidate center distance comes from the order-4 closure relation
     d^2 = R^2 - 6 R r + r^2; a radicand within tolerance() * R^2 of zero
     clamps to zero so that concentric candidates survive at every scale.
+    Where I1^2 or R^2 overflows the float range the result is a failure
+    that says so, never a gauge.
     """
     return VirtualGaugeResult(*_candidate(I1, I2, tolerance()))
 
@@ -82,15 +84,17 @@ def _candidate(
         return None, None, "no real curvature pair (I1^2 < 2 I2)"
     a = I1 / 4.0 + math.sqrt(disc) / 2.0
     A = I1 / 2.0 - a
-    if not (a > 0.0 > A):
-        return (a, A), None, f"curvature roots ({a:.6g}, {A:.6g}) do not straddle zero"
+    if not (math.inf > a > 0.0 > A):  # a = inf: I1 * I1 overflowed
+        why = "overflow the float range" if a == math.inf else "do not straddle zero"
+        return (a, A), None, f"curvature roots ({a:.6g}, {A:.6g}) {why}"
     r = 1.0 / a
     R = -1.0 / A
     radicand = R * R - 6.0 * R * r + r * r
     if abs(radicand) <= tol * (R * R):
         radicand = 0.0  # concentric candidate up to roundoff
-    if radicand < 0.0:
-        return (a, A), None, f"candidate parents (R={R:.6g}, r={r:.6g}) close no 4-chain"
+    if not 0.0 <= radicand < math.inf:  # inf or NaN: R * R overflowed
+        why = "close no 4-chain" if radicand < 0.0 else "overflow the float range"
+        return (a, A), None, f"candidate parents (R={R:.6g}, r={r:.6g}) {why}"
     return (a, A), (R, r, math.sqrt(radicand)), None
 
 
@@ -135,14 +139,16 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
     if gauge:
         # no Gauge: the window needs no q, and the recovered pair has R/r >= 3
         # up to rounding, so Gauge's R > r > 0 check cannot fail
-        rng, range_check = _window(_poristic_range(*gauge), gauge[0], quad, tol)
+        r_min, r_max = _radius_range(*gauge)
+        lo, hi = _window(r_min, r_max, gauge[0], tol)
+        r0, r1, r2, r3 = quad
+        range_check = (lo <= r0 <= hi, lo <= r1 <= hi, lo <= r2 <= hi, lo <= r3 <= hi)
         if False in range_check:
             bad = [v for v, ok in zip(quad, range_check) if not ok]
             reasons.append(
-                f"radii {bad} outside the candidate range [{rng.r_min:.6g}, {rng.r_max:.6g}]"
+                f"radii {bad} outside the candidate range [{r_min:.6g}, {r_max:.6g}]"
             )
         elif mode == "constructive":
-            r0, r1, r2, r3 = quad
             b0, b1, b2, b3 = 1.0 / r0, 1.0 / r1, 1.0 / r2, 1.0 / r3
             ordering_residual = (b0 + b2) - (b1 + b3)
             limit = RELATION_TOLERANCE * max(b0, b1, b2, b3)

@@ -99,12 +99,16 @@ class PoristicRange(_Record):
     _fields = __slots__ = ("r_min", "r_max", "b_min", "b_max")
 
 
-def _poristic_range(R: float, r: float, d: float) -> PoristicRange:
-    """The radius range of the parents (R, r, d); ValueError unless d >= 0."""
+def _radius_range(R: float, r: float, d: float) -> tuple[float, float]:
+    """(r_min, r_max) of the parents (R, r, d); ValueError unless d >= 0."""
     if not d >= 0.0:
         raise ValueError("center distance d must be non-negative")
-    r_min = (R - d - r) / 2.0
-    r_max = (R + d - r) / 2.0
+    return (R - d - r) / 2.0, (R + d - r) / 2.0
+
+
+def _poristic_range(R: float, r: float, d: float) -> PoristicRange:
+    """The radius range of the parents (R, r, d); ValueError unless d >= 0."""
+    r_min, r_max = _radius_range(R, r, d)
     b_min = 1.0 / r_max if r_max else math.inf
     b_max = 1.0 / r_min if r_min else math.inf
     return PoristicRange(r_min, r_max, b_min, b_max)
@@ -163,12 +167,10 @@ def poristic_range(g: Gauge) -> PoristicRange:
     return g.extremes
 
 
-def _window(
-    rng: PoristicRange, R: float, radii: Iterable[float], tol: float
-) -> tuple[PoristicRange, tuple[bool, ...]]:
+def _window(r_min: float, r_max: float, R: float, tol: float) -> tuple[float, float]:
+    """The radius range [r_min, r_max] widened at both ends by tol * R."""
     margin = tol * R
-    lo, hi = rng.r_min - margin, rng.r_max + margin
-    return rng, tuple([lo <= u <= hi for u in radii])  # a list builds faster than a generator
+    return r_min - margin, r_max + margin
 
 
 class SteinerChain(_Record):
@@ -361,26 +363,54 @@ class YiuCoefficients(_Record):
     _fields = __slots__ = ("alpha", "beta", "gamma")
 
 
-def _neighbor_quadratic(g: Gauge, u: float) -> tuple[PoristicRange, float, float, float]:
-    """The range u was checked against and (alpha, beta, gamma) of the
-    neighbor quadratic at u; ValueError unless u lies in the family's radius
-    range widened at both ends by tolerance() * R."""
-    rng, (inside,) = _window(g.extremes, g.R, (u,), tolerance())
-    if not inside:
+def _unscaled(x: float, e: int) -> float:
+    """x * 2^e, exactly unless it leaves the normal floats; ValueError where
+    it overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise ValueError(f"neighbor quadratic overflows the float range: {x!r} * 2^{e}") from None
+
+
+def _neighbor_quadratic(
+    g: Gauge, u: float
+) -> tuple[int, tuple[float, float, float], tuple[float, float, float]]:
+    """The exponent e of R, the lengths (R, r, u) scaled by 2^-e and the
+    coefficients (alpha, beta, gamma) of the neighbor quadratic on them.
+
+    The coefficients have degree 6, 5 and 4 in lengths (the discriminant
+    10), so at the true scale they leave the float range well inside the
+    scales at which a chain builds; on lengths with R in [1/2, 1) they do
+    not, and the scaling is exact. ValueError unless checked_radius accepts
+    u and u lies in the family's radius range widened at both ends by
+    tolerance() * R, and where r and u are so small against R that alpha
+    underflows to zero.
+    """
+    rng = g.extremes
+    lo, hi = _window(rng.r_min, rng.r_max, g.R, tolerance())
+    if not lo <= checked_radius(u) <= hi:
         raise ValueError(
             f"radius u={u} outside the admissible range [{rng.r_min}, {rng.r_max}]"
         )
+    e = math.frexp(g.R)[1]
     q = g.q
-    R, r = g.R, g.r
+    R, r, u = math.ldexp(g.R, -e), math.ldexp(g.r, -e), math.ldexp(u, -e)
     alpha = (q + 1.0) ** 2 * R * R * r * r * u * u
+    if not alpha:
+        raise ValueError(
+            f"neighbor quadratic underflows the float range: r/R = {r / R:.3g}, u/R = {u / R:.3g}"
+        )
     beta = 2.0 * (q + 1.0) * R * r * u * ((q - 1.0) * R * r - (R - r) * u)
-    gamma = ((q + 1.0) * R * r - (R - r) * u) ** 2 + 4.0 * R * r * u * u
-    return rng, alpha, beta, gamma
+    gap = (q + 1.0) * R * r - (R - r) * u
+    gamma = gap * gap + 4.0 * R * r * u * u  # not gap ** 2: libm's pow can miss by an ulp
+    return e, (R, r, u), (alpha, beta, gamma)
 
 
 def yiu_coefficients(g: Gauge, u: float) -> YiuCoefficients:
-    _, alpha, beta, gamma = _neighbor_quadratic(g, u)
-    return YiuCoefficients(alpha, beta, gamma)
+    """The neighbor quadratic at u, at the true scale; ValueError where a
+    coefficient overflows the float range."""
+    e, _, (alpha, beta, gamma) = _neighbor_quadratic(g, u)
+    return YiuCoefficients(_unscaled(alpha, 6 * e), _unscaled(beta, 5 * e), _unscaled(gamma, 4 * e))
 
 
 def neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
@@ -392,23 +422,24 @@ def neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
     directly. Roundoff excursions past an endpoint clamp the vanishing
     factor to zero; anything worse is a domain error.
     """
-    rng, alpha, beta, _ = _neighbor_quadratic(g, u)
-    f_hi = max(rng.r_max - u, 0.0)
-    f_lo = max(u - rng.r_min, 0.0)
-    disc = 16.0 * (g.q + 1.0) ** 2 * g.R**3 * g.r**3 * u * u * f_hi * f_lo
+    e, (R, r, u), (alpha, beta, _) = _neighbor_quadratic(g, u)
+    rng = g.extremes
+    f_hi = max(math.ldexp(rng.r_max, -e) - u, 0.0)
+    f_lo = max(u - math.ldexp(rng.r_min, -e), 0.0)
+    disc = 16.0 * (g.q + 1.0) ** 2 * R**3 * r**3 * u * u * f_hi * f_lo
     half_split = math.sqrt(disc) / (2.0 * alpha)
     mid = -beta / (2.0 * alpha)
-    return (mid - half_split, mid + half_split)
+    return (_unscaled(mid - half_split, -e), _unscaled(mid + half_split, -e))
 
 
 def neighbor_bend_sum(g: Gauge, u: float) -> float:
-    _, alpha, beta, _ = _neighbor_quadratic(g, u)
-    return -beta / alpha
+    e, _, (alpha, beta, _) = _neighbor_quadratic(g, u)
+    return _unscaled(-beta / alpha, -e)
 
 
 def neighbor_radius_sum(g: Gauge, u: float) -> float:
-    _, _, beta, gamma = _neighbor_quadratic(g, u)
-    return -beta / gamma
+    e, _, (_, beta, gamma) = _neighbor_quadratic(g, u)
+    return _unscaled(-beta / gamma, e)
 
 
 def chain_by_yiu(g: Gauge, u0: float, branch_rule: str = "low") -> tuple[tuple[float, ...], float]:

@@ -131,7 +131,8 @@ class TestFeasibilityCheck:
 
     @pytest.mark.parametrize("mode", ["paper", "constructive"])
     def test_one_radius_range_per_check(self, mode, monkeypatch):
-        built = []
+        """One (r_min, r_max) pair and no PoristicRange record per check."""
+        built, ranges = [], []
 
         class CountingRange(porism.PoristicRange):
             __slots__ = ()
@@ -140,9 +141,14 @@ class TestFeasibilityCheck:
                 built.append(args)
                 super().__init__(*args)
 
+        def counting_range(*args):
+            ranges.append(args)
+            return porism._radius_range(*args)
+
         monkeypatch.setattr(porism, "PoristicRange", CountingRange)
+        monkeypatch.setattr(feasibility, "_radius_range", counting_range)
         assert feasibility_check((2.0, 2.4, 3.0, 2.4), mode).feasible
-        assert len(built) == 1
+        assert (len(built), len(ranges)) == (0, 1)
 
     @pytest.mark.parametrize("mode", ["paper", "constructive"])
     @pytest.mark.parametrize(
@@ -436,7 +442,10 @@ def _reference_check(radii, mode):
         reasons.append(f"third-moment relation violated (residual {residual:.6g})")
     range_check = adjacency_check = None
     if gauge is not None:
-        rng, range_check = porism._window(Gauge(4, *gauge).extremes, gauge[0], quad, config.tolerance())
+        rng = Gauge(4, *gauge).extremes
+        margin = config.tolerance() * gauge[0]
+        lo, hi = rng.r_min - margin, rng.r_max + margin
+        range_check = tuple(lo <= v <= hi for v in quad)
         if not all(range_check):
             bad = [v for v, ok in zip(quad, range_check) if not ok]
             reasons.append(f"radii {bad} outside the candidate range [{rng.r_min:.6g}, {rng.r_max:.6g}]")
