@@ -363,83 +363,65 @@ class YiuCoefficients(_Record):
     _fields = __slots__ = ("alpha", "beta", "gamma")
 
 
-def _unscaled(x: float, e: int) -> float:
-    """x * 2^e, exactly unless it leaves the normal floats; ValueError where
-    it overflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        raise ValueError(f"neighbor quadratic overflows the float range: {x!r} * 2^{e}") from None
-
-
-def _neighbor_quadratic(
-    g: Gauge, u: float
-) -> tuple[int, tuple[float, float, float], tuple[float, float, float]]:
-    """The exponent e of R, the lengths (R, r, u) scaled by 2^-e and the
-    coefficients (alpha, beta, gamma) of the neighbor quadratic on them.
-
-    The coefficients have degree 6, 5 and 4 in lengths (the discriminant
-    10), so at the true scale they leave the float range well inside the
-    scales at which a chain builds; on lengths with R in [1/2, 1) they do
-    not, and the scaling is exact. ValueError unless checked_radius accepts
-    u and u lies in the family's radius range widened at both ends by
-    tolerance() * R, and where r and u are so small against R that alpha
-    underflows to zero.
-    """
+def _admissible(g: Gauge, u: float) -> float:
+    """u, unless checked_radius refuses it or it lies outside the family's
+    radius range widened at both ends by tolerance() * R (ValueError)."""
     rng = g.extremes
     lo, hi = _window(rng.r_min, rng.r_max, g.R, tolerance())
     if not lo <= checked_radius(u) <= hi:
-        raise ValueError(
-            f"radius u={u} outside the admissible range [{rng.r_min}, {rng.r_max}]"
-        )
-    e = math.frexp(g.R)[1]
-    q = g.q
-    R, r, u = math.ldexp(g.R, -e), math.ldexp(g.r, -e), math.ldexp(u, -e)
-    alpha = (q + 1.0) ** 2 * R * R * r * r * u * u
-    if not alpha:
-        raise ValueError(
-            f"neighbor quadratic underflows the float range: r/R = {r / R:.3g}, u/R = {u / R:.3g}"
-        )
-    beta = 2.0 * (q + 1.0) * R * r * u * ((q - 1.0) * R * r - (R - r) * u)
-    gap = (q + 1.0) * R * r - (R - r) * u
-    gamma = gap * gap + 4.0 * R * r * u * u  # not gap ** 2: libm's pow can miss by an ulp
-    return e, (R, r, u), (alpha, beta, gamma)
+        raise ValueError(f"radius u={u} outside the admissible range [{rng.r_min}, {rng.r_max}]")
+    return u
 
 
 def yiu_coefficients(g: Gauge, u: float) -> YiuCoefficients:
-    """The neighbor quadratic at u, at the true scale; ValueError where a
-    coefficient overflows the float range."""
-    e, _, (alpha, beta, gamma) = _neighbor_quadratic(g, u)
-    return YiuCoefficients(_unscaled(alpha, 6 * e), _unscaled(beta, 5 * e), _unscaled(gamma, 4 * e))
+    """Yiu's neighbor quadratic at an admissible u, in (q, R, r, u) at the
+    true scale; ValueError where a coefficient overflows the float range."""
+    u = _admissible(g, u)
+    q, R, r = g.q, g.R, g.r
+    alpha = (q + 1.0) ** 2 * R * R * r * r * u * u
+    beta = 2.0 * (q + 1.0) * R * r * u * ((q - 1.0) * R * r - (R - r) * u)
+    gap = (q + 1.0) * R * r - (R - r) * u
+    gamma = gap * gap + 4.0 * R * r * u * u  # not gap ** 2: libm's pow can miss by an ulp
+    if not all([math.isfinite(c) for c in (alpha, beta, gamma)]):
+        raise ValueError(f"neighbor quadratic overflows the float range at u={u}")
+    return YiuCoefficients(alpha, beta, gamma)
 
 
 def neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
-    """Bends of the two chain neighbors of a circle of radius u, ascending.
+    """Bends of the two chain neighbors of a circle of radius u, ascending,
+    from the closed form of _circle_coordinates.
 
-    The raw discriminant beta^2 - 4 alpha gamma cancels catastrophically near
-    the range endpoints (where the two neighbors coincide); it factors as
-    16 (q+1)^2 R^3 r^3 u^2 (r_max - u)(u - r_min), which is evaluated
-    directly. Roundoff excursions past an endpoint clamp the vanishing
-    factor to zero; anything worse is a domain error.
+    The circle at model angle t has bend b = b_min + span sin^2(t/2), with
+    span = b_max - b_min, and its neighbors, at t -+ 2 pi / n, have bends
+    b_min + span sin^2(t/2 -+ pi/n). sin^2(t/2) and cos^2(t/2) are the
+    shares of above = b - b_min and below = b_max - b in span, each taken as
+    a difference of radii, exact near its own endpoint; roundoff past an
+    endpoint clamps to zero. The one cancellation left, in sin(t/2 -+ pi/n),
+    is absolute, so even a neighbor bend next to b_min keeps its relative
+    accuracy. No two bends are multiplied and every factor but span and
+    b_min is free of scale, so scaling by a power of two is exact.
+    ValueError unless u is admissible and r_min, r_max are positive and
+    finite.
     """
-    e, (R, r, u), (alpha, beta, _) = _neighbor_quadratic(g, u)
     rng = g.extremes
-    f_hi = max(math.ldexp(rng.r_max, -e) - u, 0.0)
-    f_lo = max(u - math.ldexp(rng.r_min, -e), 0.0)
-    disc = 16.0 * (g.q + 1.0) ** 2 * R**3 * r**3 * u * u * f_hi * f_lo
-    half_split = math.sqrt(disc) / (2.0 * alpha)
-    mid = -beta / (2.0 * alpha)
-    return (_unscaled(mid - half_split, -e), _unscaled(mid + half_split, -e))
+    u, r_min, r_max = _admissible(g, u), checked_radius(rng.r_min), checked_radius(rng.r_max)
+    above = max(r_max - u, 0.0) / u / r_max
+    below = max(u - r_min, 0.0) / u / r_min
+    span = above + below
+    sin_half, cos_half = (math.sqrt(above / span), math.sqrt(below / span)) if span else (0.0, 0.0)
+    c, s = math.cos(math.pi / g.n), math.sin(math.pi / g.n)
+    sin_lo, sin_hi = c * sin_half - s * cos_half, c * sin_half + s * cos_half  # sin(t/2 -+ pi/n)
+    return rng.b_min + span * (sin_lo * sin_lo), rng.b_min + span * (sin_hi * sin_hi)
 
 
 def neighbor_bend_sum(g: Gauge, u: float) -> float:
-    e, _, (alpha, beta, _) = _neighbor_quadratic(g, u)
-    return _unscaled(-beta / alpha, -e)
+    lo, hi = neighbor_bends(g, u)
+    return lo + hi
 
 
 def neighbor_radius_sum(g: Gauge, u: float) -> float:
-    e, _, (_, beta, gamma) = _neighbor_quadratic(g, u)
-    return _unscaled(-beta / gamma, e)
+    lo, hi = neighbor_bends(g, u)
+    return 1.0 / lo + 1.0 / hi
 
 
 def chain_by_yiu(g: Gauge, u0: float, branch_rule: str = "low") -> tuple[tuple[float, ...], float]:

@@ -165,22 +165,52 @@ def n4_axial_side_circle(R: float, r: float, d: float) -> tuple[float, float, fl
     return rho, x, y
 
 
-def yiu_roots_oracle(n: int, R: float, r: float, u: float) -> tuple[float, float]:
-    """Neighbor bends via the literal quadratic formula in exact rationals.
-
-    Independent of the library's factored-discriminant evaluation; the only
-    rounding left is in tan(pi/n) and the final square root.
-    """
+def yiu_quadratic_exact(n: int, R: float, r: float, u: float) -> tuple[Fraction, Fraction, Fraction]:
+    """Yiu's neighbor quadratic (alpha, beta, gamma) in (q, R, r, u), the
+    literal polynomial in exact rationals on q = tan(pi/n)^2 as a float."""
     q = Fraction(math.tan(math.pi / n)) ** 2
     Rf, rf, uf = Fraction(R), Fraction(r), Fraction(u)
     alpha = (q + 1) ** 2 * Rf * Rf * rf * rf * uf * uf
     beta = 2 * (q + 1) * Rf * rf * uf * ((q - 1) * Rf * rf - (Rf - rf) * uf)
     gamma = ((q + 1) * Rf * rf - (Rf - rf) * uf) ** 2 + 4 * Rf * rf * uf * uf
+    return alpha, beta, gamma
+
+
+def yiu_roots_oracle(n: int, R: float, r: float, u: float) -> tuple[float, float]:
+    """Neighbor bends via the literal quadratic formula in exact rationals.
+
+    Independent of the library's closed-form evaluation; the only rounding
+    left is in tan(pi/n) and the final square root.
+    """
+    alpha, beta, gamma = yiu_quadratic_exact(n, R, r, u)
     disc = beta * beta - 4 * alpha * gamma
     s = math.sqrt(max(float(disc), 0.0))
     lo = (-float(beta) - s) / (2.0 * float(alpha))
     hi = (-float(beta) + s) / (2.0 * float(alpha))
     return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def mp_neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
+    """Bends of the two ring neighbors of a circle of radius u, ascending,
+    from 60 digits.
+
+    A circle at model angle t has bend s - w cos t, with s and w the mean
+    and half-span of the family's extreme bends, so u fixes cos t, and the
+    neighbors at t -+ 2 pi / n have bends
+    s - w (cos t cos(2 pi / n) -+ |sin t| sin(2 pi / n)). The family is the
+    one chain_at_phase builds, from the float extremes g.extremes: at an
+    endpoint the two neighbors are a double root, so one ulp of r_min or
+    r_max moves them by about 1e-8.
+    """
+    with mpmath.workdps(60):
+        b_min, b_max = 1 / mpmath.mpf(g.extremes.r_max), 1 / mpmath.mpf(g.extremes.r_min)
+        s, w = (b_max + b_min) / 2, (b_max - b_min) / 2
+        cos_t = max(min((s - 1 / mpmath.mpf(u)) / w, 1), -1)
+        sin_t = mpmath.sqrt(1 - cos_t * cos_t)
+        step = 2 * mpmath.pi / g.n
+        mid = s - w * cos_t * mpmath.cos(step)
+        half = w * sin_t * mpmath.sin(step)
+        return float(mid - half), float(mid + half)
 
 
 def _lateral_i4(a: Fraction, e2: Fraction) -> Fraction:
