@@ -106,14 +106,6 @@ def _radius_range(R: float, r: float, d: float) -> tuple[float, float]:
     return (R - d - r) / 2.0, (R + d - r) / 2.0
 
 
-def _poristic_range(R: float, r: float, d: float) -> PoristicRange:
-    """The radius range of the parents (R, r, d); ValueError unless d >= 0."""
-    r_min, r_max = _radius_range(R, r, d)
-    b_min = 1.0 / r_max if r_max else math.inf
-    b_max = 1.0 / r_min if r_min else math.inf
-    return PoristicRange(r_min, r_max, b_min, b_max)
-
-
 class Gauge(_Record):
     """Parent-circle datum of a poristic family. q = tan^2(pi/n) and the
     radius range, a PoristicRange, are computed once and left out of ==,
@@ -126,7 +118,10 @@ class Gauge(_Record):
         object.__setattr__(self, "q", _closure_q(self.n))
         if not (self.R > self.r > 0.0):
             raise ValueError("radii must satisfy R > r > 0")
-        object.__setattr__(self, "extremes", _poristic_range(self.R, self.r, self.d))
+        r_min, r_max = _radius_range(self.R, self.r, self.d)
+        b_min = 1.0 / r_max if r_max else math.inf
+        b_max = 1.0 / r_min if r_min else math.inf
+        object.__setattr__(self, "extremes", PoristicRange(r_min, r_max, b_min, b_max))
 
     @classmethod
     def from_radii(cls, n: int, R: float, r: float) -> "Gauge":
@@ -292,7 +287,8 @@ def chain_at_phase(g: Gauge, theta: float) -> SteinerChain:
         raise ValueError(f"chain phase must be finite, got theta = {theta!r}")
     theta = math.fmod(theta, TAU)  # exact, and keeps the offsets 2*pi*k/n of a large phase
     (coords,) = _circle_coordinates(g, (theta,))
-    return SteinerChain(g, theta % (TAU / g.n), tuple(coords))
+    phase = theta % (TAU / g.n)  # 2 pi / n itself where theta is a tiny negative
+    return SteinerChain(g, phase if phase < TAU / g.n else 0.0, tuple(coords))
 
 
 def _worst(values: Iterable[float]) -> float:
@@ -346,8 +342,10 @@ def conjugate_chain(chain: SteinerChain) -> SteinerChain:
     """Mirror a chain in the axis through the parent centers.
 
     Centers map (x, y) -> (x, -y) exactly and radii are unchanged, so the
-    double application restores every circle bit for bit. The stored phase
-    is recomputed as the mirrored angle.
+    double application restores every circle bit for bit and every residual
+    of chain_residuals. The stored phase is recomputed as the mirrored
+    angle; twice mirrored it comes back to within half an ulp of 2 pi / n,
+    as step - (step - phase) rounds.
     """
     step = TAU / chain.gauge.n
     phase = 0.0 if chain.phase == 0.0 else step - chain.phase
@@ -387,31 +385,33 @@ def yiu_coefficients(g: Gauge, u: float) -> YiuCoefficients:
     return YiuCoefficients(alpha, beta, gamma)
 
 
-def neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
-    """Bends of the two chain neighbors of a circle of radius u, ascending,
-    from the closed form of _circle_coordinates.
-
-    The circle at model angle t has bend b = b_min + span sin^2(t/2), with
-    span = b_max - b_min, and its neighbors, at t -+ 2 pi / n, have bends
-    b_min + span sin^2(t/2 -+ pi/n). sin^2(t/2) and cos^2(t/2) are the
-    shares of above = b - b_min and below = b_max - b in span, each taken as
-    a difference of radii, exact near its own endpoint; roundoff past an
-    endpoint clamps to zero. The one cancellation left, in sin(t/2 -+ pi/n),
-    is absolute, so even a neighbor bend next to b_min keeps its relative
-    accuracy. No two bends are multiplied and every factor but span and
-    b_min is free of scale, so scaling by a power of two is exact.
-    ValueError unless u is admissible and r_min, r_max are positive and
-    finite.
-    """
+def _half_angle(g: Gauge, u: float) -> tuple[float, float, float]:
+    """(sin(t/2), cos(t/2), span) of the circle of radius u at model angle t
+    in [0, pi], whose bend is b_min + span sin^2(t/2) (_circle_coordinates).
+    The squares are the shares of b - b_min and b_max - b in span, each taken
+    as a difference of radii, exact near its own endpoint; roundoff past an
+    endpoint clamps to zero. ValueError unless u is admissible and r_min,
+    r_max are positive and finite."""
     rng = g.extremes
     u, r_min, r_max = _admissible(g, u), checked_radius(rng.r_min), checked_radius(rng.r_max)
     above = max(r_max - u, 0.0) / u / r_max
     below = max(u - r_min, 0.0) / u / r_min
     span = above + below
     sin_half, cos_half = (math.sqrt(above / span), math.sqrt(below / span)) if span else (0.0, 0.0)
+    return sin_half, cos_half, span
+
+
+def neighbor_bends(g: Gauge, u: float) -> tuple[float, float]:
+    """Bends of the two chain neighbors of a circle of radius u, ascending:
+    with t its angle (_half_angle), b_min + span sin^2(t/2 -+ pi/n). The one
+    cancellation, in sin(t/2 -+ pi/n), is absolute, so even a bend next to
+    b_min keeps its relative accuracy; every factor but span and b_min is
+    free of scale, so scaling by a power of two is exact."""
+    sin_half, cos_half, span = _half_angle(g, u)
     c, s = math.cos(math.pi / g.n), math.sin(math.pi / g.n)
     sin_lo, sin_hi = c * sin_half - s * cos_half, c * sin_half + s * cos_half  # sin(t/2 -+ pi/n)
-    return rng.b_min + span * (sin_lo * sin_lo), rng.b_min + span * (sin_hi * sin_hi)
+    b_min = g.extremes.b_min
+    return b_min + span * (sin_lo * sin_lo), b_min + span * (sin_hi * sin_hi)
 
 
 def neighbor_bend_sum(g: Gauge, u: float) -> float:
@@ -425,19 +425,15 @@ def neighbor_radius_sum(g: Gauge, u: float) -> float:
 
 
 def chain_by_yiu(g: Gauge, u0: float, branch_rule: str = "low") -> tuple[tuple[float, ...], float]:
-    """Propagate radii around the chain from a seed radius u0.
-
-    The two roots of the neighbor quadratic at a circle are the bends of its
-    two neighbors. branch_rule ("low" or "high") picks the root of the first
-    step, where both directions are open; legitimate double roots (u0 at a
-    range endpoint) make the choice moot. After that the next bend is the
-    root sum minus the bend we arrived from (Vieta). Returns the n
-    propagated radii and the closure mismatch |u_n - u0|.
-    """
+    """The ring through a circle of radius u0, by Steiner's porism the chain
+    of chain_at_phase at its angle t in [0, pi] (_half_angle): its n radii
+    from u0, returned as given, and the mismatch |rho(t) - u0| of the
+    family's circle there. branch_rule "high" first takes the neighbor of
+    larger bend, "low" the other; at a range endpoint they are equal."""
     if branch_rule not in ("low", "high"):
         raise ValueError("branch_rule must be 'low' or 'high'")
-    lo, hi = neighbor_bends(g, u0)
-    radii = [u0, 1.0 / (lo if branch_rule == "low" else hi)]
-    for _ in range(g.n - 1):
-        radii.append(1.0 / (neighbor_bend_sum(g, radii[-1]) - 1.0 / radii[-2]))
-    return tuple(radii[:-1]), abs(radii[-1] - radii[0])
+    sin_half, cos_half, _ = _half_angle(g, u0)
+    rho, *rest = chain_at_phase(g, 2.0 * math.atan2(sin_half, cos_half)).radii
+    if branch_rule == "low":
+        rest.reverse()
+    return (u0, *rest), abs(rho - u0)

@@ -318,9 +318,10 @@ class TestChainAtPhase:
         with pytest.raises(ValueError, match=f"chain phase must be finite, got theta = {theta!r}$"):
             chain_at_phase(G4, theta)
 
-    def test_phase_normalized(self):
+    @pytest.mark.parametrize("theta", [7.1, -1e-300])
+    def test_phase_normalized(self, theta):
         step = 2 * math.pi / 4
-        assert 0.0 <= chain_at_phase(G4, 7.1).phase < step
+        assert 0.0 <= chain_at_phase(G4, theta).phase < step
 
     @pytest.mark.parametrize("theta", [1e6, 1e12, 1e17, -1e12])
     @pytest.mark.parametrize("n", [3, 4, 16, 64])
