@@ -14,7 +14,7 @@ _EXPORTS = {
     ),
     "feasibility": (
         "FeasibilityReport", "VirtualGaugeResult", "actual_moments", "feasibility_check",
-        "virtual_gauge",
+        "third_moment_relation_residual", "virtual_gauge",
     ),
     "geometry": (
         "Orientation", "OrientedCircle", "PlanePoint", "external_tangency_residual",
@@ -23,7 +23,7 @@ _EXPORTS = {
     "moments": (
         "GeneralMomentParams", "InvarianceReport", "MomentSet", "bending_moment", "closed_form_I",
         "complex_moment", "first_two_moments_general", "invariance_sweep", "invariant_pairs",
-        "moment_set", "third_moment_relation_residual",
+        "moment_set",
     ),
     "porism": (
         "ConcentricModel", "Gauge", "GaugeValidation", "InfeasibleGaugeError", "PoristicRange",

@@ -15,6 +15,7 @@ import types
 from . import _EXPORTS, _lazy
 from .porism import (
     MAX_CHAIN_LENGTH,
+    MAX_MOMENT_ORDER,
     Gauge,
     InfeasibleGaugeError,
     chain_at_phase,
@@ -172,7 +173,8 @@ _COMMANDS = {
         *_GAUGE, ("phase", _finite_float, _REQUIRED, "phase angle in the concentric model"),
         ("out", str, _REQUIRED, "output JSON path"))),
     "invariants": (_cmd_invariants, ("document", "moments"), "print moments of a stored chain", (
-        ("chain", str, _REQUIRED, "chain JSON path"), ("max-k", int, None, "highest I_k to print (>= 1)"),
+        ("chain", str, _REQUIRED, "chain JSON path"),
+        ("max-k", int, None, f"highest I_k to print (1 to {MAX_MOMENT_ORDER})"),
         ("complex", bool, False, "also print complex moments"))),
     "sweep": (_cmd_sweep, ("document", "moments"), "write a per-phase moment table as CSV", (
         *_GAUGE, ("samples", int, _REQUIRED, "number of phases"), ("csv", str, _REQUIRED, "output CSV path"),

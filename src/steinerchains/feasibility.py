@@ -15,13 +15,16 @@ import sys
 
 from .config import tolerance
 from .geometry import _Record
-from .moments import third_moment_relation_residual
 from .porism import _radius_range, _window
 from .porism import neighbor_bends  # noqa: F401  (a binding bench/tracing.py wraps)
 
 Quadruple = tuple[float, float, float, float]
 
 RELATION_TOLERANCE = 1e-6  # relative to I3 = sum b^3 > 0; inputs may be decimal-rounded
+# The recovered R is good to about eps * R/r of itself, the recovery's condition
+# a/|A| = R/r, as A = I1/2 - a cancels: the range check's window widens by
+# RECOVERY_ERROR * R/r over the tolerance, in units of R (measured at most 2.1 eps)
+RECOVERY_ERROR = 4.0 * sys.float_info.epsilon
 
 
 def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
@@ -45,6 +48,11 @@ def actual_moments(radii: Quadruple) -> tuple[float, float, float]:
     if I3 < sys.float_info.min:
         raise ValueError(f"third moment I3 = sum 1/radius^3 underflows for radii {radii}")
     return (b0 + b1 + b2 + b3, b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3, I3)
+
+
+def third_moment_relation_residual(I1: float, I2: float, I3: float) -> float:
+    """I3 - (3/4 I1 I2 - 1/8 I1^3); vanishes for genuine 4-chain moments."""
+    return I3 - (0.75 * I1 * I2 - 0.125 * (I1 * I1 * I1))
 
 
 class VirtualGaugeResult(_Record):
@@ -139,15 +147,14 @@ def feasibility_check(radii: Quadruple, mode: str = "paper") -> FeasibilityRepor
     if gauge:
         # no Gauge: the window needs no q, and the recovered pair has R/r >= 3
         # up to rounding, so Gauge's R > r > 0 check cannot fail
+        R, r, _ = gauge
         r_min, r_max = _radius_range(*gauge)
-        lo, hi = _window(r_min, r_max, gauge[0], tol)
+        lo, hi = _window(r_min, r_max, R, tol + RECOVERY_ERROR * (R / r))
         r0, r1, r2, r3 = quad
         range_check = (lo <= r0 <= hi, lo <= r1 <= hi, lo <= r2 <= hi, lo <= r3 <= hi)
         if False in range_check:
             bad = [v for v, ok in zip(quad, range_check) if not ok]
-            reasons.append(
-                f"radii {bad} outside the candidate range [{r_min:.6g}, {r_max:.6g}]"
-            )
+            reasons.append(f"radii {bad} outside the candidate range [{r_min!r}, {r_max!r}]")
         elif mode == "constructive":
             b0, b1, b2, b3 = 1.0 / r0, 1.0 / r1, 1.0 / r2, 1.0 / r3
             ordering_residual = (b0 + b2) - (b1 + b3)

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import mul, neg, sub
 
 from .geometry import _Record, checked_radius
-from .porism import TAU, Gauge, SteinerChain, _circle_coordinates
+from .porism import MAX_MOMENT_ORDER, TAU, Gauge, SteinerChain, _circle_coordinates
 from .porism import chain_at_phase  # noqa: F401  (a binding bench/tracing.py wraps)
 
 
@@ -75,20 +75,21 @@ def _chain_moments(
 
 
 def bending_moment(chain: SteinerChain, k: int) -> float:
-    """Sum of k-th powers of the chain bends."""
-    if k < 0:
-        raise ValueError("moment order k must be non-negative")
+    """Sum of k-th powers of the chain bends, for 0 <= k <= MAX_MOMENT_ORDER."""
+    if not 0 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order k must be from 0 to {MAX_MOMENT_ORDER}, got {k}")
     return _chain_moments(chain, k, [])[0][k]
 
 
 def complex_moment(chain: SteinerChain, k: int, m: int) -> complex:
-    """Sum of bend^k * center^m over the chain, centers as complex numbers.
+    """Sum of bend^k * center^m over the chain, centers as complex numbers,
+    for orders from 0 to MAX_MOMENT_ORDER.
 
     The m = 0 column reproduces bending_moment exactly: both come from the
     same kernel.
     """
-    if k < 0 or m < 0:
-        raise ValueError("moment orders must be non-negative")
+    if not (0 <= k <= MAX_MOMENT_ORDER and 0 <= m <= MAX_MOMENT_ORDER):
+        raise ValueError(f"moment orders must be from 0 to {MAX_MOMENT_ORDER}, got k = {k}, m = {m}")
     return _chain_moments(chain, k, [(k, m)])[1][(k, m)]
 
 
@@ -105,12 +106,14 @@ def invariant_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def moment_set(chain: SteinerChain, max_k: int | None = None) -> MomentSet:
-    """I_1..I_max_k (max_k defaults to n, and must be at least 1) and every
-    invariant J_{k,m} of one chain."""
+    """I_1..I_max_k (max_k defaults to n, and must be from 1 to
+    MAX_MOMENT_ORDER) and every invariant J_{k,m} of one chain."""
     n = chain.gauge.n
     top = n if max_k is None else max_k
     if top < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
+    if top > MAX_MOMENT_ORDER:  # refused before any power table is built
+        raise ValueError(f"max_k must be at most {MAX_MOMENT_ORDER}, got {max_k}")
     bending, cmap = _chain_moments(chain, top, invariant_pairs(n))
     return MomentSet(n, tuple(bending[1 : top + 1]), cmap)
 
@@ -150,11 +153,6 @@ def first_two_moments_general(g: Gauge) -> tuple[float, float, GeneralMomentPara
     s = cot2 * (A + a) / 2.0
     p = cot2 * A * a
     return g.n * s, (g.n / 2.0) * (3.0 * s * s + p), GeneralMomentParams(s, p)
-
-
-def third_moment_relation_residual(I1: float, I2: float, I3: float) -> float:
-    """I3 - (3/4 I1 I2 - 1/8 I1^3); vanishes for genuine 4-chain moments."""
-    return I3 - (0.75 * I1 * I2 - 0.125 * (I1 * I1 * I1))
 
 
 def sweep_header(n: int) -> list[str]:

@@ -35,6 +35,10 @@ MAX_CHAIN_LENGTH = 64
 For R >> r the smallest circle has radius about tan^2(pi/n) r, which at
 n = 64 and R/r = 1e12 is still some 20 float steps of R; a sweep costs
 O(n^3) per phase."""
+MAX_MOMENT_ORDER = 1024
+"""The highest bend power k a moment of a single chain is computed to: the
+power tables hold about k * n floats, and b^1024 overflows for every bend
+b >= 2."""
 
 
 class InfeasibleGaugeError(ValueError):

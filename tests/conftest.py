@@ -8,8 +8,10 @@ check.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import signal
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +41,28 @@ def child_env(**overrides: str) -> dict[str, str]:
     env["PYTHONPATH"] = str(SRC)
     env.update(overrides)
     return env
+
+
+class Hang(BaseException):
+    """Raised by alarm(). Not an Exception, so no handler in the library
+    turns it into a result: a TimeoutError is an OSError, which cli.main
+    answers with exit 2."""
+
+
+@contextlib.contextmanager
+def alarm(seconds: float):
+    """Raise Hang in the block once it has run `seconds` of wall time."""
+
+    def ring(signum, frame):
+        raise Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # Smallest outer radius (r = 1) admitting a closed chain, by chain length:

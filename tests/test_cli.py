@@ -21,8 +21,9 @@ from steinerchains import (
 )
 from steinerchains.cli import _COMMANDS, build_parser, main
 from steinerchains.moments import invariance_sweep, sweep_header
+from steinerchains.porism import MAX_MOMENT_ORDER
 
-from conftest import child_env
+from conftest import alarm, child_env
 
 G3 = Gauge(3, 15.0, 1.0, 4.0)
 G4 = Gauge(4, 6.0, 1.0, 1.0)
@@ -523,6 +524,18 @@ class TestCliCommands:
         assert f"max_k must be at least 1, got {max_k}" in captured.err
         assert main(["invariants", "--chain", str(path), "--max-k", "1"]) == 0
         assert capsys.readouterr().out.splitlines() == [f"I1 = {bending_moment(chain_at_phase(G4, 0.3), 1)!r}"]
+
+    def test_max_k_above_the_cap_is_refused_before_any_work(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_chain(chain_at_phase(G4, 0.3), path)
+        with alarm(1.0):
+            assert main(["invariants", "--chain", str(path), "--max-k", "100000000000000000000"]) == 2
+        assert "max_k must be at most 1024, got 100000000000000000000" in capsys.readouterr().err
+        assert main(["invariants", "--chain", str(path), "--max-k", str(MAX_MOMENT_ORDER)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == MAX_MOMENT_ORDER
+        with pytest.raises(SystemExit):
+            main(["invariants", "--help"])
+        assert f"highest I_k to print (1 to {MAX_MOMENT_ORDER})" in capsys.readouterr().out
 
     def test_sweep_overflow_is_invalid_input(self, tmp_path, capsys):
         # at n = 64 and R/r = 1e12 the J_{k,m} overflow past m ~ 25; that is

@@ -9,15 +9,18 @@ derandomized on a fixed budget, so the suite stays deterministic.
 
 from __future__ import annotations
 
+import io
 import math
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import closure_ratio, mp_neighbor_bends, yiu_quadratic_exact
+from conftest import Hang, alarm, closure_ratio, mp_neighbor_bends, yiu_quadratic_exact
 from steinerchains import (
     Gauge,
     chain_at_phase,
@@ -29,9 +32,12 @@ from steinerchains import (
     neighbor_bend_sum,
     neighbor_bends,
     neighbor_radius_sum,
+    save_chain,
+    symmetric_chain,
     virtual_gauge,
     yiu_coefficients,
 )
+from steinerchains.cli import _COMMANDS, main
 
 LENGTHS = (3, 4, 5, 8, 16, 33, 64)
 SCALES = st.integers(-400, 300)
@@ -189,15 +195,30 @@ class TestRelabelling:
     def test_one_verdict_per_mode(self, family, theta, wobble, mode):
         assert_one_verdict_per_mode(family[0], theta, wobble, mode)
 
-    # The candidate parents come from the moments, summed in label order, and
-    # their R carries an error of about 1e-16 R/r of itself against a window
-    # margin of tolerance() * R: from R/r near 1e6 up a true chain falls
-    # outside the window in some labellings (ROADMAP item 3).
-    @pytest.mark.xfail(strict=True, reason="labelling-dependent range check above R/r = 1e6")
     @DOMAIN
     @given(families((4,), bottom=1e6), *RELABELLING)
     def test_one_verdict_per_mode_above_1e6(self, family, theta, wobble, mode):
         assert_one_verdict_per_mode(family[0], theta, wobble, mode)
+
+
+class TestChainsAreAccepted:
+    """The candidate parents come from the moments, and their R carries an
+    error of about eps * R/r of itself, which the range check allows for: a
+    chain whose largest circle sits at r_max, as the axial chain's does, is
+    accepted at every R/r, in every labelling and in both modes."""
+
+    @pytest.mark.parametrize("decade", range(6, 12))
+    def test_axial_lateral_and_random_phase_chains(self, decade):
+        rng = random.Random(decade)
+        for step in range(21):  # R/r from 10^decade to 10^(decade + 1)
+            g = Gauge.from_radii(4, 10.0 ** (decade + step / 20), 1.0)
+            chains = [symmetric_chain(g, "axial"), symmetric_chain(g, "lateral")]
+            chains += [chain_at_phase(g, rng.uniform(0.0, math.pi / 2)) for _ in range(2)]
+            for chain in chains:
+                for quad in relabellings(chain.radii):
+                    for mode in ("paper", "constructive"):
+                        report = feasibility_check(quad, mode)
+                        assert report.feasible, (g.R, chain.phase, quad, mode, report.reasons)
 
 
 class TestNeighborBendsOnTheFamily:
@@ -307,6 +328,87 @@ class TestEveryInputAnswered:
         result = virtual_gauge(1e-300, -1e-320)
         assert not result.ok and result.gauge is None
         assert result.failure.endswith("overflow the float range")
+
+
+# Option values: special floats and ints, words, powers of ten as ints, and
+# magnitudes log-uniform from 1e-200 to 1e200 of either sign, all as text
+WORDS = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "0", "-0", "-1", "1e308", "-1e308", "5e-324", "2.2e-308", "1e20",
+    "100000000000000000000", "4.0", "0x10", "1_000", "abc", "", " ", "--help", "-1e-12",
+])
+NUMBERS = st.one_of(
+    WORDS,
+    st.integers(-3, 70).map(str),
+    st.integers(0, 30).map(lambda e: str(10**e)),
+    st.builds(lambda e, sign: repr(sign * 10.0**e), st.floats(-200.0, 200.0), st.sampled_from([1.0, -1.0])),
+)
+# --samples costs time linear in its value, which is the work asked for: the
+# fuzz keeps it, and the lengths of the gauges that close, small
+SAMPLES = st.one_of(WORDS, st.integers(-3, 40).map(str))
+# paths under the test's directory, which stands for {tmp}; the first of
+# each list is drawn as often as the others together
+INPUTS = st.sampled_from(("{tmp}/chain.json",) * 3 + ("{tmp}/corrupt.json", "{tmp}/missing.json", "{tmp}"))
+OUTPUTS = st.sampled_from(("{tmp}/out",) * 2 + ("{tmp}/missing/out", "{tmp}"))
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command and its options, each value drawn for what the option
+    takes; half of the time the gauge options come from a gauge that
+    closes, and the radii from one of its 4-chains."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    gauge = {}
+    if draw(st.booleans()):
+        g, _ = draw(families((3, 4, 5, 8, 16)))
+        gauge = {"n": str(g.n), "R": repr(g.R), "r": repr(g.r), "d": repr(g.d)}
+        h, _ = draw(families((4,)))
+        gauge["radii"] = ",".join(map(repr, chain_at_phase(h, draw(st.floats(0.0, 2.0 * math.pi))).radii))
+    argv = [command]
+    for name, convert, _, _ in _COMMANDS[command][3]:
+        if draw(st.integers(0, 19)) == 0:
+            continue  # an option left out
+        if convert is bool:
+            argv.append(f"--{name}")
+            continue
+        if name in gauge and draw(st.integers(0, 9)):
+            value = gauge[name]
+        elif name == "samples":
+            value = draw(SAMPLES)
+        elif name == "radii":
+            value = ",".join(draw(st.lists(NUMBERS, min_size=1, max_size=5)))
+        elif isinstance(convert, tuple):
+            value = draw(st.sampled_from([*convert, "diagonal"]))
+        elif convert is str:
+            value = draw(INPUTS if name == "chain" else OUTPUTS)
+        else:
+            value = draw(NUMBERS)
+        argv += [f"--{name}", value] if draw(st.integers(0, 3)) else [f"--{name}={value}"]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-h", "-x", "--"])))
+    return argv
+
+
+class TestEveryArgvAnswered:
+    @settings(
+        max_examples=500, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argvs())
+    def test_main_exits_0_1_or_2(self, tmp_path, argv):
+        """Each argv returns or exits with 0, 1 or 2 within its alarm; no
+        exception escapes main."""
+        if not (tmp_path / "chain.json").exists():
+            save_chain(chain_at_phase(Gauge.from_radii(5, 40.0, 1.0), 0.3), tmp_path / "chain.json")
+            (tmp_path / "corrupt.json").write_text((tmp_path / "chain.json").read_text()[:-40])
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        try:
+            with alarm(2.0), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Hang:  # hypothesis does not count a BaseException as a failure
+            code = "no answer within the alarm"
+        assert code in (0, 1, 2), argv
 
 
 FAILING_PROPERTY = """

@@ -403,7 +403,8 @@ def _reference_check(radii, mode):
     """feasibility_check as it was written before its straight-line rewrite:
     moments as generator sums, a Gauge built per check for the radius window,
     and a report built by keyword. The concentric clamp is the scale-relative
-    tol * R^2 of the current code."""
+    tol * R^2 of the current code, and the window margin and the refusal's
+    repr-printed range are the current code's too."""
     if mode not in ("paper", "constructive"):
         raise ValueError("mode must be 'paper' or 'constructive'")
     quad = tuple(float(v) for v in radii)
@@ -443,12 +444,12 @@ def _reference_check(radii, mode):
     range_check = adjacency_check = None
     if gauge is not None:
         rng = Gauge(4, *gauge).extremes
-        margin = config.tolerance() * gauge[0]
+        margin = (config.tolerance() + 4.0 * sys.float_info.epsilon * (gauge[0] / gauge[1])) * gauge[0]
         lo, hi = rng.r_min - margin, rng.r_max + margin
         range_check = tuple(lo <= v <= hi for v in quad)
         if not all(range_check):
             bad = [v for v, ok in zip(quad, range_check) if not ok]
-            reasons.append(f"radii {bad} outside the candidate range [{rng.r_min:.6g}, {rng.r_max:.6g}]")
+            reasons.append(f"radii {bad} outside the candidate range [{rng.r_min!r}, {rng.r_max!r}]")
         elif mode == "constructive":
             b0, b1, b2, b3 = bends
             ordering_residual = (b0 + b2) - (b1 + b3)

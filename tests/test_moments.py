@@ -22,6 +22,7 @@ from steinerchains import (
     write_sweep_csv,
 )
 from steinerchains.moments import sweep_header, sweep_rows
+from steinerchains.porism import MAX_MOMENT_ORDER
 
 from conftest import closure_ratio, exact_negative_control_span, gauge_strategy
 
@@ -279,6 +280,20 @@ class TestMomentSet:
             with pytest.raises(ValueError, match=f"max_k must be at least 1, got {max_k}"):
                 moment_set(chain, max_k)
         assert moment_set(chain, 1).bending == (bending_moment(chain, 1),)
+
+    def test_orders_above_the_cap_rejected(self):
+        chain = chain_at_phase(G4, 0.2)
+        for order in (MAX_MOMENT_ORDER + 1, 10**20):
+            with pytest.raises(ValueError, match=f"max_k must be at most {MAX_MOMENT_ORDER}, got {order}"):
+                moment_set(chain, order)
+            with pytest.raises(ValueError, match="moment order k must be from 0"):
+                bending_moment(chain, order)
+            for k, m in ((order, 0), (0, order)):
+                with pytest.raises(ValueError, match="moment orders must be from 0"):
+                    complex_moment(chain, k, m)
+        top = moment_set(chain, MAX_MOMENT_ORDER)
+        assert top.bending[-1] == bending_moment(chain, MAX_MOMENT_ORDER)
+        assert complex_moment(chain, MAX_MOMENT_ORDER, 0) == bending_moment(chain, MAX_MOMENT_ORDER)
 
 
 # R/r just above the closure boundary, a moderate ratio, and 1e12; every

@@ -31,7 +31,7 @@ PUBLIC = {
     ],
     "feasibility": [
         "FeasibilityReport", "VirtualGaugeResult", "actual_moments", "feasibility_check",
-        "virtual_gauge",
+        "third_moment_relation_residual", "virtual_gauge",
     ],
     "geometry": [
         "Orientation", "OrientedCircle", "PlanePoint", "external_tangency_residual",
@@ -40,7 +40,7 @@ PUBLIC = {
     "moments": [
         "GeneralMomentParams", "InvarianceReport", "MomentSet", "bending_moment", "closed_form_I",
         "complex_moment", "first_two_moments_general", "invariance_sweep", "invariant_pairs",
-        "moment_set", "third_moment_relation_residual",
+        "moment_set",
     ],
     "porism": [
         "ConcentricModel", "Gauge", "GaugeValidation",
@@ -127,7 +127,7 @@ class TestCommandImports:
               "--csv", "{tmp}/s.csv"], DOCUMENT),
             (["symmetric", "--n", "4", "--R", "6", "--r", "1", "--d", "1", "--kind", "lateral"],
              [*DOCUMENT, "steinerchains.symmetric"]),
-            (["feasible", "--radii", "1,2,3,4"], ["steinerchains.feasibility", "steinerchains.moments"]),
+            (["feasible", "--radii", "1,2,3,4"], ["steinerchains.feasibility"]),
             (["render", "--chain", "{tmp}/c.json", "--svg", "{tmp}/c.svg"], DOCUMENT),
         ],
     )
@@ -136,6 +136,15 @@ class TestCommandImports:
         code, modules = json.loads(fresh(RUN_MAIN, *(a.format(tmp=tmp_path) for a in argv)))
         assert code in (0, 1)
         assert modules == sorted({*BASE, *loaded})
+
+
+def test_feasibility_check_loads_neither_moments_nor_cmath():
+    out = fresh(
+        "import json, sys, steinerchains\n"
+        "steinerchains.feasibility_check((1.0, 2.0, 3.0, 4.0), 'constructive')\n"
+        "print(json.dumps(['steinerchains.moments' in sys.modules, 'cmath' in sys.modules]))"
+    )
+    assert json.loads(out) == [False, False]
 
 
 def test_gauge_command_does_not_import_json():
