@@ -16,6 +16,7 @@ from . import _EXPORTS, _lazy
 from .porism import (
     MAX_CHAIN_LENGTH,
     MAX_MOMENT_ORDER,
+    MAX_SWEEP_SAMPLES,
     Gauge,
     InfeasibleGaugeError,
     chain_at_phase,
@@ -177,7 +178,8 @@ _COMMANDS = {
         ("max-k", int, None, f"highest I_k to print (1 to {MAX_MOMENT_ORDER})"),
         ("complex", bool, False, "also print complex moments"))),
     "sweep": (_cmd_sweep, ("document", "moments"), "write a per-phase moment table as CSV", (
-        *_GAUGE, ("samples", int, _REQUIRED, "number of phases"), ("csv", str, _REQUIRED, "output CSV path"),
+        *_GAUGE, ("samples", int, _REQUIRED, f"number of phases (2 to {MAX_SWEEP_SAMPLES})"),
+        ("csv", str, _REQUIRED, "output CSV path"),
         ("tol", _finite_float, 1e-8, "deviation above which an invariant counts as violated"))),
     "symmetric": (_cmd_symmetric, ("document", "symmetric"), "build an axial or lateral chain", (
         *_GAUGE, ("kind", _KINDS, _REQUIRED, "which symmetric chain"),

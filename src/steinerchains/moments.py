@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import mul, neg, sub
 
 from .geometry import _Record, checked_radius
-from .porism import MAX_MOMENT_ORDER, TAU, Gauge, SteinerChain, _circle_coordinates
+from .porism import MAX_MOMENT_ORDER, MAX_SWEEP_SAMPLES, TAU, Gauge, SteinerChain, _circle_coordinates
 from .porism import chain_at_phase  # noqa: F401  (a binding bench/tracing.py wraps)
 
 
@@ -68,7 +68,10 @@ def _moments(
 def _chain_moments(
     chain: SteinerChain, top: int, pairs: list[tuple[int, int]]
 ) -> tuple[list[float], dict[tuple[int, int], complex]]:
-    """The kernel on a block of one chain."""
+    """The kernel on a block of one chain, for orders from 0 to MAX_MOMENT_ORDER."""
+    bad = [o for pair in [(top,), *pairs] for o in pair if not 0 <= o <= MAX_MOMENT_ORDER]
+    if bad:  # refused before any power table is built
+        raise ValueError(f"moment orders must be from 0 to {MAX_MOMENT_ORDER}, got {bad[0]}")
     bends = chain.bends
     bending, cmap = _moments(bends, chain.centers, len(bends), top, pairs)
     return [col[0] for col in bending], {pair: col[0] for pair, col in cmap.items()}
@@ -76,8 +79,6 @@ def _chain_moments(
 
 def bending_moment(chain: SteinerChain, k: int) -> float:
     """Sum of k-th powers of the chain bends, for 0 <= k <= MAX_MOMENT_ORDER."""
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order k must be from 0 to {MAX_MOMENT_ORDER}, got {k}")
     return _chain_moments(chain, k, [])[0][k]
 
 
@@ -88,8 +89,6 @@ def complex_moment(chain: SteinerChain, k: int, m: int) -> complex:
     The m = 0 column reproduces bending_moment exactly: both come from the
     same kernel.
     """
-    if not (0 <= k <= MAX_MOMENT_ORDER and 0 <= m <= MAX_MOMENT_ORDER):
-        raise ValueError(f"moment orders must be from 0 to {MAX_MOMENT_ORDER}, got k = {k}, m = {m}")
     return _chain_moments(chain, k, [(k, m)])[1][(k, m)]
 
 
@@ -112,8 +111,6 @@ def moment_set(chain: SteinerChain, max_k: int | None = None) -> MomentSet:
     top = n if max_k is None else max_k
     if top < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
-    if top > MAX_MOMENT_ORDER:  # refused before any power table is built
-        raise ValueError(f"max_k must be at most {MAX_MOMENT_ORDER}, got {max_k}")
     bending, cmap = _chain_moments(chain, top, invariant_pairs(n))
     return MomentSet(n, tuple(bending[1 : top + 1]), cmap)
 
@@ -178,8 +175,8 @@ def _sweep_blocks(g: Gauge, samples: int) -> Iterator[list[tuple[float, ...]]]:
     over the block, which is transposed into rows when it is done. Only one
     block is held at a time.
     """
-    if samples < 2:
-        raise ValueError("a sweep needs at least 2 samples")
+    if not 2 <= samples <= MAX_SWEEP_SAMPLES:
+        raise ValueError(f"a sweep takes from 2 to {MAX_SWEEP_SAMPLES} samples, got {samples}")
     n = g.n
     pairs = invariant_pairs(n)
     per_block = max(1, SWEEP_BLOCK_CIRCLES // n)

@@ -39,6 +39,9 @@ MAX_MOMENT_ORDER = 1024
 """The highest bend power k a moment of a single chain is computed to: the
 power tables hold about k * n floats, and b^1024 overflows for every bend
 b >= 2."""
+MAX_SWEEP_SAMPLES = 10**6
+"""The most phases a sweep takes: at n = 4 about 20 s of work. The sweep's
+CSV text is still held whole, about 0.1 MB per sample at n = 64."""
 
 
 class InfeasibleGaugeError(ValueError):

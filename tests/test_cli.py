@@ -20,8 +20,8 @@ from steinerchains import (
     sweep_csv_text,
 )
 from steinerchains.cli import _COMMANDS, build_parser, main
-from steinerchains.moments import invariance_sweep, sweep_header
-from steinerchains.porism import MAX_MOMENT_ORDER
+from steinerchains.moments import _sweep_blocks, invariance_sweep, sweep_header
+from steinerchains.porism import MAX_MOMENT_ORDER, MAX_SWEEP_SAMPLES
 
 from conftest import alarm, child_env
 
@@ -530,12 +530,27 @@ class TestCliCommands:
         save_chain(chain_at_phase(G4, 0.3), path)
         with alarm(1.0):
             assert main(["invariants", "--chain", str(path), "--max-k", "100000000000000000000"]) == 2
-        assert "max_k must be at most 1024, got 100000000000000000000" in capsys.readouterr().err
+        assert "moment orders must be from 0 to 1024, got 100000000000000000000" in capsys.readouterr().err
         assert main(["invariants", "--chain", str(path), "--max-k", str(MAX_MOMENT_ORDER)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == MAX_MOMENT_ORDER
         with pytest.raises(SystemExit):
             main(["invariants", "--help"])
         assert f"highest I_k to print (1 to {MAX_MOMENT_ORDER})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["1", str(MAX_SWEEP_SAMPLES + 1), "100000000000000000000"])
+    def test_samples_outside_the_range_are_refused_before_any_work(self, tmp_path, capsys, samples):
+        csv_path = tmp_path / "s.csv"
+        with alarm(1.0):
+            code = main(["sweep", "--n", "4", "--R", "6", "--r", "1", "--d", "1",
+                         "--samples", samples, "--csv", str(csv_path)])
+        assert code == 2
+        assert f"a sweep takes from 2 to {MAX_SWEEP_SAMPLES} samples, got {samples}" in capsys.readouterr().err
+        assert not csv_path.exists()
+        # the cap itself is taken: its first block of phases comes at once
+        assert len(next(_sweep_blocks(G4, MAX_SWEEP_SAMPLES))) > 0
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert f"number of phases (2 to {MAX_SWEEP_SAMPLES})" in capsys.readouterr().out
 
     def test_sweep_overflow_is_invalid_input(self, tmp_path, capsys):
         # at n = 64 and R/r = 1e12 the J_{k,m} overflow past m ~ 25; that is

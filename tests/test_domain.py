@@ -38,6 +38,7 @@ from steinerchains import (
     yiu_coefficients,
 )
 from steinerchains.cli import _COMMANDS, main
+from steinerchains.config import tolerance
 
 LENGTHS = (3, 4, 5, 8, 16, 33, 64)
 SCALES = st.integers(-400, 300)
@@ -220,6 +221,24 @@ class TestChainsAreAccepted:
                         report = feasibility_check(quad, mode)
                         assert report.feasible, (g.R, chain.phase, quad, mode, report.reasons)
 
+    # the candidate parents come from the raised radii, and their r_max follows
+    # the largest radius about three quarters of the way: a raise of about
+    # 4 margins (3.7 to 4.2 from R/r = 1e2 to 1e12) is the first refused; the
+    # margin is written out, so that a wider window in the library fails here
+    @pytest.mark.parametrize("ratio", [1e2, 1e8, 1e12])
+    def test_a_largest_radius_past_the_margin_is_refused(self, ratio):
+        """Above R/r ~ 1e8 the largest bend is below the cubic relation's
+        resolution, so the range check alone refuses a raised largest
+        radius, by the same multiple of the margin at every R/r."""
+        g = Gauge.from_radii(4, ratio, 1.0)
+        for quad in relabellings(symmetric_chain(g, "axial").radii):
+            radii = list(quad)
+            i = radii.index(max(radii))
+            radii[i] += 6.0 * (tolerance() + 4.0 * sys.float_info.epsilon * ratio) * g.R
+            for mode in ("paper", "constructive"):
+                reasons = feasibility_check(radii, mode).reasons
+                assert [why for why in reasons if "outside the candidate range" in why], (quad, mode, reasons)
+
 
 class TestNeighborBendsOnTheFamily:
     """The neighbor bends of every circle of a chain are the bends of the
@@ -342,8 +361,9 @@ NUMBERS = st.one_of(
     st.integers(0, 30).map(lambda e: str(10**e)),
     st.builds(lambda e, sign: repr(sign * 10.0**e), st.floats(-200.0, 200.0), st.sampled_from([1.0, -1.0])),
 )
-# --samples costs time linear in its value, which is the work asked for: the
-# fuzz keeps it, and the lengths of the gauges that close, small
+# --samples costs time linear in its value up to MAX_SWEEP_SAMPLES, which is
+# the work asked for: below the cap the fuzz keeps it, and the lengths of the
+# gauges that close, small; the words give the values above the cap
 SAMPLES = st.one_of(WORDS, st.integers(-3, 40).map(str))
 # paths under the test's directory, which stands for {tmp}; the first of
 # each list is drawn as often as the others together

@@ -283,13 +283,15 @@ class TestMomentSet:
 
     def test_orders_above_the_cap_rejected(self):
         chain = chain_at_phase(G4, 0.2)
-        for order in (MAX_MOMENT_ORDER + 1, 10**20):
-            with pytest.raises(ValueError, match=f"max_k must be at most {MAX_MOMENT_ORDER}, got {order}"):
-                moment_set(chain, order)
-            with pytest.raises(ValueError, match="moment order k must be from 0"):
+        for order in (MAX_MOMENT_ORDER + 1, 10**20, -1):
+            refused = f"moment orders must be from 0 to {MAX_MOMENT_ORDER}, got {order}"
+            if order > 0:
+                with pytest.raises(ValueError, match=refused):
+                    moment_set(chain, order)
+            with pytest.raises(ValueError, match=refused):
                 bending_moment(chain, order)
             for k, m in ((order, 0), (0, order)):
-                with pytest.raises(ValueError, match="moment orders must be from 0"):
+                with pytest.raises(ValueError, match=refused):
                     complex_moment(chain, k, m)
         top = moment_set(chain, MAX_MOMENT_ORDER)
         assert top.bending[-1] == bending_moment(chain, MAX_MOMENT_ORDER)
