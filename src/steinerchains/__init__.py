@@ -16,9 +16,11 @@ _EXPORTS = {
         "FeasibilityReport", "VirtualGaugeResult", "actual_moments", "feasibility_check",
         "third_moment_relation_residual", "virtual_gauge",
     ),
-    "geometry": (
-        "Orientation", "OrientedCircle", "PlanePoint", "external_tangency_residual",
+    "geometry": ("Orientation", "OrientedCircle", "PlanePoint"),
+    "inversion": (
+        "ConcentricModel", "concentric_model", "external_tangency_residual",
         "internal_tangency_residual", "invert_circle", "invert_point", "limiting_points",
+        "parent_circles",
     ),
     "moments": (
         "GeneralMomentParams", "InvarianceReport", "MomentSet", "bending_moment", "closed_form_I",
@@ -26,11 +28,10 @@ _EXPORTS = {
         "moment_set",
     ),
     "porism": (
-        "ConcentricModel", "Gauge", "GaugeValidation", "InfeasibleGaugeError", "PoristicRange",
-        "SteinerChain", "YiuCoefficients", "chain_at_phase", "chain_by_yiu", "chain_residuals",
-        "concentric_model", "conjugate_chain", "is_valid_chain", "neighbor_bend_sum",
-        "neighbor_bends", "neighbor_radius_sum", "parent_circles", "pedoe_distance",
-        "poristic_range", "validate_gauge", "yiu_coefficients",
+        "Gauge", "GaugeValidation", "InfeasibleGaugeError", "PoristicRange", "SteinerChain",
+        "YiuCoefficients", "chain_at_phase", "chain_by_yiu", "chain_residuals", "conjugate_chain",
+        "is_valid_chain", "neighbor_bend_sum", "neighbor_bends", "neighbor_radius_sum",
+        "pedoe_distance", "poristic_range", "validate_gauge", "yiu_coefficients",
     ),
     "symmetric": (
         "AxialBendsN6Report", "AxialTriplesN3Report", "SymmetricChainKind", "axial_bends_n6",

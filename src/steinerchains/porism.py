@@ -7,8 +7,9 @@ parent at the origin and the outer parent at (+d, 0).
 
 Chains are built in closed form: the bend and co-bends of each chain circle
 are affine in (cos t, sin t) of its angle t in the concentric model (see
-_circle_coordinates). The concentric model itself, the inversion at a limiting
-point that makes the parents concentric, serves as the test oracle.
+_circle_coordinates), and no circle is inverted. The concentric model, the
+inversion at a limiting point that makes the parents concentric, is in the
+inversion module, the oracle the tests check the closed form against.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 
+from . import _lazy
 from .config import tolerance
-from .geometry import (
-    Orientation,
-    OrientedCircle,
-    PlanePoint,
-    _Record,
-    center_distance,
-    checked_radius,
-    invert_circle,
-    limiting_points,
-)
+from .geometry import OrientedCircle, PlanePoint, _Record, checked_radius
+
+# The oracle's names resolve on first use, from inversion; each is then a
+# global of this module, a binding bench/tracing.py wraps.
+__getattr__ = _lazy(globals(), {"inversion": ("concentric_model", "invert_circle", "limiting_points")})
 
 TAU = 2.0 * math.pi
 _SMALLEST_NORMAL = 2.0**-1022  # sys.float_info.min
@@ -140,13 +137,6 @@ class Gauge(_Record):
         return abs(_square("d", self.d) - (gap2 - 4.0 * self.q * self.R * self.r))
 
 
-def parent_circles(g: Gauge) -> tuple[OrientedCircle, OrientedCircle]:
-    """(inner, outer) parent circles in the canonical frame."""
-    inner = OrientedCircle(PlanePoint(0.0, 0.0), g.r, Orientation.CHAIN_OR_INNER)
-    outer = OrientedCircle(PlanePoint(g.d, 0.0), g.R, Orientation.OUTER_PARENT)
-    return inner, outer
-
-
 class GaugeValidation(_Record):
     _fields = __slots__ = ("ok", "pedoe_residual", "message")
 
@@ -206,41 +196,6 @@ class SteinerChain(_Record):
     @property
     def centers(self) -> tuple[complex, ...]:
         return tuple([complex(x, y) for x, y, _ in self.rows])
-
-
-class ConcentricModel(_Record):
-    """Annulus obtained by moving the parent pair to concentric position.
-
-    Chain construction does not use it: it is the independent oracle that
-    the closed form of chain_at_phase is tested against.
-
-    For d > 0 this is the unit inversion centered at the limiting point
-    inside the inner parent; that map sends the outer parent to the annulus
-    *inner* boundary (radius rho_in) and the inner parent to the *outer*
-    boundary (radius rho_out). For d = 0 the identity is used.
-    """
-
-    _fields = __slots__ = ("pole", "center", "rho_in", "rho_out", "identity", "center_mismatch")
-
-    @property
-    def ratio(self) -> float:
-        return self.rho_out / self.rho_in
-
-
-def concentric_model(g: Gauge) -> ConcentricModel:
-    if g.d == 0.0:
-        origin = PlanePoint(0.0, 0.0)
-        return ConcentricModel(origin, origin, g.r, g.R, True, 0.0)
-    inner, outer = parent_circles(g)
-    pole, _ = limiting_points(inner, outer)
-    inner_img = invert_circle(pole, inner)
-    outer_img = invert_circle(pole, outer)
-    mismatch = center_distance(inner_img, outer_img)
-    center = PlanePoint(
-        (inner_img.center.x + outer_img.center.x) / 2.0,
-        (inner_img.center.y + outer_img.center.y) / 2.0,
-    )
-    return ConcentricModel(pole, center, outer_img.radius, inner_img.radius, False, mismatch)
 
 
 def _circle_coordinates(

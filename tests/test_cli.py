@@ -317,12 +317,12 @@ class TestCliCommands:
 
     def test_sweep_computes_once_for_csv_and_report(self, tmp_path, capsys, monkeypatch):
         import steinerchains.document as document
+        import steinerchains.inversion as inversion
         import steinerchains.moments as moments
-        import steinerchains.porism as porism
 
         sweeps, tables, models = [], [], []
         real_blocks, real_rows = document._sweep_blocks, moments.sweep_rows
-        real_model = porism.concentric_model
+        real_model = inversion.concentric_model
 
         def counted_blocks(g, samples):
             sweeps.append((g, samples))
@@ -335,7 +335,7 @@ class TestCliCommands:
         monkeypatch.setattr(document, "_sweep_blocks", counted_blocks)
         monkeypatch.setattr(moments, "sweep_rows", counted_rows)
         monkeypatch.setattr(document, "sweep_rows", counted_rows)
-        monkeypatch.setattr(porism, "concentric_model", lambda g: models.append(g) or real_model(g))
+        monkeypatch.setattr(inversion, "concentric_model", lambda g: models.append(g) or real_model(g))
         csv_path = tmp_path / "s.csv"
         code = main(
             ["sweep", "--n", "4", "--R", "6", "--r", "1", "--d", "1",

@@ -33,9 +33,11 @@ PUBLIC = {
         "FeasibilityReport", "VirtualGaugeResult", "actual_moments", "feasibility_check",
         "third_moment_relation_residual", "virtual_gauge",
     ],
-    "geometry": [
-        "Orientation", "OrientedCircle", "PlanePoint", "external_tangency_residual",
+    "geometry": ["Orientation", "OrientedCircle", "PlanePoint"],
+    "inversion": [
+        "ConcentricModel", "concentric_model", "external_tangency_residual",
         "internal_tangency_residual", "invert_circle", "invert_point", "limiting_points",
+        "parent_circles",
     ],
     "moments": [
         "GeneralMomentParams", "InvarianceReport", "MomentSet", "bending_moment", "closed_form_I",
@@ -43,11 +45,11 @@ PUBLIC = {
         "moment_set",
     ],
     "porism": [
-        "ConcentricModel", "Gauge", "GaugeValidation",
+        "Gauge", "GaugeValidation",
         "InfeasibleGaugeError", "PoristicRange", "SteinerChain", "YiuCoefficients",
-        "chain_at_phase", "chain_by_yiu", "chain_residuals", "concentric_model",
+        "chain_at_phase", "chain_by_yiu", "chain_residuals",
         "conjugate_chain", "is_valid_chain", "neighbor_bend_sum", "neighbor_bends",
-        "neighbor_radius_sum", "parent_circles", "pedoe_distance", "poristic_range",
+        "neighbor_radius_sum", "pedoe_distance", "poristic_range",
         "validate_gauge", "yiu_coefficients",
     ],
     "symmetric": [
@@ -145,6 +147,32 @@ def test_feasibility_check_loads_neither_moments_nor_cmath():
         "print(json.dumps(['steinerchains.moments' in sys.modules, 'cmath' in sys.modules]))"
     )
     assert json.loads(out) == [False, False]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "g = steinerchains.Gauge.from_radii(5, 40.0, 1.0)\n"
+        "chain = steinerchains.chain_at_phase(g, 0.3)\n"
+        "assert steinerchains.is_valid_chain(chain)\n"
+        "doc = json.loads(json.dumps(steinerchains.chain_to_document(chain)))\n"
+        "steinerchains.render_svg(steinerchains.document_to_chain(doc))",
+        "steinerchains.symmetric_chain(steinerchains.Gauge(4, 6.0, 1.0, 1.0), 'lateral')",
+        "steinerchains.invariance_sweep(steinerchains.Gauge(4, 6.0, 1.0, 1.0), 5)",
+        "steinerchains.feasibility_check((1.0, 2.0, 3.0, 4.0), 'constructive')",
+        "import steinerchains.cli\nsteinerchains.cli.build_parser()",
+    ],
+    ids=["construct", "symmetric", "sweep", "feasibility", "cli"],
+)
+def test_library_paths_do_not_load_the_inversion_oracle(call):
+    # construction is closed form: only the tests and the traced run need it
+    out = fresh(f"import json, sys, steinerchains\n{call}\nprint('steinerchains.inversion' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+def test_geometry_does_not_load_config():
+    out = fresh("import sys, steinerchains.geometry\nprint('steinerchains.config' in sys.modules)")
+    assert out.split() == ["False"]
 
 
 def test_gauge_command_does_not_import_json():
